@@ -6,25 +6,27 @@ verify (Monte Carlo check of a digit law against its sampler), seq
 (export a generated sequence).
 
 Exit codes: 0 success, 1 computational or verification failure, 2 usage
-error.
+error (a missing or invalid flag value).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import fields
 
-from .digits import DigitHistogram, first_digit_int, first_digit_real, histogram
+from .digits import DigitHistogram
 from .distributions import (
+    _LAWS,
     PB,
-    TSPB,
     Benford,
     adaptive_truncation,
     model_to_dict,
     pb_truncation_deficit,
     pmf_vector,
 )
-from .fitting import FitResult, fit_pb, fit_tspb, goodness_of_fit
+from .fitting import FitResult, chi_square_stat, fit_pb, fit_tspb, goodness_of_fit
 from .reference import load_survey, reconstructed_histogram
 from .sequences import (
     SEQUENCE_KINDS,
@@ -32,7 +34,6 @@ from .sequences import (
     digit_histogram_of,
     format_values,
     generate,
-    read_values,
 )
 from .sampling import verification_report
 
@@ -45,16 +46,14 @@ def _positive_float(name, value):
     if value is None:
         raise UsageError(f"--{name} is required for this model")
     v = float(value)
-    if not v > 0:
-        raise UsageError(f"--{name} must be > 0, got {value}")
+    if not (math.isfinite(v) and v > 0):
+        raise UsageError(f"--{name} must be a finite real > 0, got {value}")
     return v
 
 
-def _resolve_m(mflag, alpha=None, beta=None, survey_m=None):
-    if mflag == "adaptive":
-        if alpha is None or beta is None:
-            raise UsageError("--m adaptive needs alpha and beta")
-        return adaptive_truncation(alpha, beta)
+def _resolve_m(mflag, survey_m=None):
+    """--m given as an integer or 'survey' (the bundled value for the
+    sequence); callers resolve 'adaptive' first, since it needs a law."""
     if mflag == "survey":
         if survey_m is None:
             raise UsageError("--m survey only applies when fitting a surveyed "
@@ -70,20 +69,31 @@ def _resolve_m(mflag, alpha=None, beta=None, survey_m=None):
     return m
 
 
-def _build_model(args, survey_m=None):
-    if args.model == "benford":
-        return Benford()
-    if args.model == "tspb":
-        if args.c is None:
-            raise UsageError("--c is required for the tspb model")
-        c = float(args.c)
-        if not c > 0:
-            raise UsageError(f"--c must be > 0, got {args.c}")
-        return TSPB(c=c)
-    alpha = _positive_float("alpha", args.alpha)
-    beta = _positive_float("beta", args.beta)
-    m = _resolve_m(args.m, alpha, beta, survey_m)
-    return PB(alpha=alpha, beta=beta, m=m)
+def _build_model(args):
+    law = _LAWS[args.model]
+    params = {f.name: _positive_float(f.name, getattr(args, f.name))
+              for f in fields(law) if f.name != "m"}
+    if law is PB:
+        params["m"] = (adaptive_truncation(params["alpha"], params["beta"])
+                       if args.m == "adaptive" else _resolve_m(args.m))
+    return law(**params)
+
+
+def _fit_pb(hist, mflag, survey_m=None) -> FitResult:
+    """fit_pb at the truncation --m names.  'adaptive' takes the adaptive
+    truncation of a pilot fit at m = 1000 and refits only above 1000."""
+    if mflag != "adaptive":
+        return fit_pb(hist, m=_resolve_m(mflag, survey_m))
+    pilot = fit_pb(hist, m=1000)
+    m = adaptive_truncation(pilot.model.alpha, pilot.model.beta)
+    return fit_pb(hist, m=m) if m > 1000 else pilot
+
+
+def _sequence_spec(kind, param) -> SequenceSpec:
+    try:
+        return SequenceSpec(kind=kind, param=param)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
 
 
 def _parse_counts(text) -> DigitHistogram:
@@ -150,13 +160,8 @@ def _histogram_from_args(args) -> tuple[DigitHistogram, str, int | None]:
     if args.counts is not None:
         return _parse_counts(args.counts), "counts", None
     if args.file is not None:
-        try:
-            values = read_values(args.file)
-        except OSError as e:
-            raise RuntimeError(f"cannot read {args.file}: {e}") from e
-        digits = [first_digit_int(v) if isinstance(v, int) else first_digit_real(v)
-                  for v in values]
-        return histogram(digits), str(args.file), None
+        spec = SequenceSpec("custom_file", path=args.file)
+        return digit_histogram_of(spec), str(args.file), None
     kind, param_text = args.seq
     if kind not in SEQUENCE_KINDS:
         raise UsageError(f"unknown sequence kind {kind!r}; choose from "
@@ -171,8 +176,8 @@ def _histogram_from_args(args) -> tuple[DigitHistogram, str, int | None]:
         if row.kind == kind and row.param == param:
             survey_m = row.series_m
             break
+    spec = _sequence_spec(kind, param)
     try:
-        spec = SequenceSpec(kind=kind, param=param)
         hist = digit_histogram_of(spec)
     except Exception as e:
         raise RuntimeError(f"generating {kind}({param}) failed: {e}") from e
@@ -205,18 +210,12 @@ def cmd_fit(args) -> int:
     if hist.sample_size < 1:
         raise UsageError("histogram is empty")
     if args.model == "benford":
-        chi2, df, p = goodness_of_fit(hist, Benford(), 0)
-        result = FitResult(model=Benford(), chi_square=chi2, df=df, p_value=p,
-                           converged=True, evaluations=1)
+        chi2 = chi_square_stat(hist, pmf_vector(Benford()))
+        result = FitResult._of(Benford(), chi2, converged=True, evaluations=1)
     elif args.model == "tspb":
         result = fit_tspb(hist)
     else:
-        if args.m == "adaptive":
-            pilot = fit_pb(hist, m=1000)
-            m = adaptive_truncation(pilot.model.alpha, pilot.model.beta)
-            result = fit_pb(hist, m=m) if m > 1000 else pilot
-        else:
-            result = fit_pb(hist, m=_resolve_m(args.m, survey_m=survey_m))
+        result = _fit_pb(hist, args.m, survey_m)
     print(_render_fit(result, label, args.format))
     return 0
 
@@ -239,6 +238,8 @@ def cmd_tables(args) -> int:
         if unknown:
             raise UsageError(f"unknown survey keys: {', '.join(sorted(unknown))}")
         rows = [r for r in rows if r.key in wanted]
+    if args.m not in ("adaptive", "survey"):
+        _resolve_m(args.m)  # a bad --m is a usage error, not a failure per row
     failed = False
 
     if args.table in ("digits", "both"):
@@ -279,8 +280,7 @@ def _fit_row(row, args) -> list:
     hist = _row_histogram(row)
     b_chi2, _, b_p = goodness_of_fit(hist, Benford(), 0)
     t = fit_tspb(hist)
-    m = row.series_m if args.m == "survey" else _resolve_m(args.m)
-    p = fit_pb(hist, m=m)
+    p = _fit_pb(hist, args.m, row.series_m)
     if args.format == "csv":
         return [row.label, row.n, row.source,
                 repr(b_chi2), repr(b_p),
@@ -310,8 +310,8 @@ def _emit_table(header, rows, fmt):
 def cmd_verify(args) -> int:
     if args.n < 1000:
         raise UsageError(f"--n must be >= 1000, got {args.n}")
-    if args.model == "pb" and args.m == "survey":
-        raise UsageError("--m survey does not apply to verify")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     model = _build_model(args)
     report = verification_report(model, args.n, args.seed)
     if args.format == "csv":
@@ -339,7 +339,7 @@ def cmd_seq(args) -> int:
         raise UsageError(f"cannot export sequence kind {args.kind!r}")
     if args.kind != "idoneal" and args.param is None:
         raise UsageError("--param is required for this sequence kind")
-    spec = SequenceSpec(kind=args.kind, param=args.param or 0)
+    spec = _sequence_spec(args.kind, args.param or 0)
     text = format_values(generate(spec))
     if args.out:
         with open(args.out, "w") as fh:
@@ -354,7 +354,7 @@ def cmd_seq(args) -> int:
 
 
 def _add_model_flags(p):
-    p.add_argument("--model", required=True, choices=["benford", "tspb", "pb"])
+    p.add_argument("--model", required=True, choices=list(_LAWS))
     p.add_argument("--c", type=float, help="TSPB shape parameter")
     p.add_argument("--alpha", type=float, help="PB tail exponent")
     p.add_argument("--beta", type=float, help="PB lower exponent")
@@ -422,9 +422,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

@@ -12,7 +12,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -65,6 +65,12 @@ def first_digit_real(x: float) -> int:
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"expected a finite positive real, got {x}")
     return _digit_from_log10_fraction(math.log10(x) % 1.0)
+
+
+def _first_digits(values: Iterable) -> Iterator[int]:
+    """First digits of ints (exact) and reals (through log10), in order."""
+    return (first_digit_int(v) if isinstance(v, int) else first_digit_real(v)
+            for v in values)
 
 
 @dataclass(frozen=True)

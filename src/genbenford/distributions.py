@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import lru_cache
-from typing import Union
+from typing import ClassVar, Union, get_args
 
 import mpmath
 import numpy as np
@@ -68,6 +68,12 @@ _TRUNCATION_LIMIT = 10 ** 18
 class Benford:
     """Benford's law; no parameters."""
 
+    tag: ClassVar[str] = "benford"
+    n_params: ClassVar[int] = 0
+
+    def pmf(self) -> np.ndarray:
+        return benford_vector()
+
 
 @dataclass(frozen=True)
 class TSPB:
@@ -75,9 +81,15 @@ class TSPB:
 
     c: float
 
+    tag: ClassVar[str] = "tspb"
+    n_params: ClassVar[int] = 1
+
     def __post_init__(self):
         if not (math.isfinite(self.c) and self.c > 0):
             raise ValueError(f"c must be a positive real, got {self.c}")
+
+    def pmf(self) -> np.ndarray:
+        return tspb_vector(self.c)
 
 
 @dataclass(frozen=True)
@@ -89,6 +101,9 @@ class PB:
     beta: float
     m: int = 1000
 
+    tag: ClassVar[str] = "pb"
+    n_params: ClassVar[int] = 2
+
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be a positive real, got {self.alpha}")
@@ -98,30 +113,34 @@ class PB:
             raise ValueError(f"m must be an integer >= 1, got {self.m}")
         object.__setattr__(self, "m", int(self.m))
 
+    def pmf(self) -> np.ndarray:
+        return pb_vector(self.alpha, self.beta, self.m)
+
 
 ModelParams = Union[Benford, TSPB, PB]
 
+# JSON tag -> law; the dataclass fields are the serialized parameters
+_LAW_TYPES = get_args(ModelParams)
+_LAWS = {law.tag: law for law in _LAW_TYPES}
+_COERCE = {"float": float, "int": int}  # field annotation -> JSON value coercion
+
+
+def _check_model(model) -> ModelParams:
+    if not isinstance(model, _LAW_TYPES):
+        raise TypeError(f"not a digit-law model: {model!r}")
+    return model
+
 
 def model_to_dict(model: ModelParams) -> dict:
-    if isinstance(model, Benford):
-        return {"model": "benford"}
-    if isinstance(model, TSPB):
-        return {"model": "tspb", "c": model.c}
-    if isinstance(model, PB):
-        return {"model": "pb", "alpha": model.alpha, "beta": model.beta, "m": model.m}
-    raise TypeError(f"not a digit-law model: {model!r}")
+    return {"model": _check_model(model).tag, **asdict(model)}
 
 
 def model_from_dict(obj: dict) -> ModelParams:
-    kind = obj.get("model")
-    if kind == "benford":
-        return Benford()
-    if kind == "tspb":
-        return TSPB(c=float(obj["c"]))
-    if kind == "pb":
-        return PB(alpha=float(obj["alpha"]), beta=float(obj["beta"]),
-                  m=int(obj.get("m", 1000)))
-    raise ValueError(f"unknown model tag: {kind!r}")
+    law = _LAWS.get(obj.get("model"))
+    if law is None:
+        raise ValueError(f"unknown model tag: {obj.get('model')!r}")
+    return law(**{f.name: _COERCE[f.type](obj[f.name]) for f in fields(law)
+                  if f.name in obj or f.default is MISSING})
 
 
 def model_to_json(model: ModelParams) -> str:
@@ -198,13 +217,15 @@ def _series_differences(alpha: float, m: int) -> np.ndarray:
     return out
 
 
+def _pb_probs(a: float, b: float, m: int) -> np.ndarray:
+    # unvalidated PB pmf, shared by pb_vector and the fitter's objective
+    lo, hi = _L10[:9], _L10[1:]
+    return (a * (hi ** b - lo ** b) + b * _series_differences(a, m)) / (a + b)
+
+
 def pb_vector(alpha: float, beta: float, m: int = 1000) -> np.ndarray:
     model = PB(alpha, beta, m)  # validates
-    lo, hi = _L10[:9], _L10[1:]
-    a, b = model.alpha, model.beta
-    lower = a / (a + b) * (hi ** b - lo ** b)
-    series = b / (a + b) * _series_differences(a, model.m)
-    return lower + series
+    return _pb_probs(model.alpha, model.beta, model.m)
 
 
 def pb_pmf(d: int, alpha: float, beta: float, m: int = 1000) -> float:
@@ -246,13 +267,7 @@ def adaptive_truncation(alpha: float, beta: float, tol: float = 1e-10) -> int:
 
 def pmf_vector(model: ModelParams) -> np.ndarray:
     """Evaluate a digit law at d = 1..9."""
-    if isinstance(model, Benford):
-        return benford_vector()
-    if isinstance(model, TSPB):
-        return tspb_vector(model.c)
-    if isinstance(model, PB):
-        return pb_vector(model.alpha, model.beta, model.m)
-    raise TypeError(f"not a digit-law model: {model!r}")
+    return _check_model(model).pmf()
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The Pearson statistic is computed over all nine digit cells with no
 pooling.  Degrees of freedom follow the 9-cells-minus-1-minus-estimated-
-parameters convention: 8 for Benford, 7 for TSPB, 6 for PB.
+parameters convention, 8 - n_params of the law: 8 for Benford, 7 for
+TSPB, 6 for PB.
 
 Both fitters are deterministic: the 1-D TSPB search scans a fixed bracket
 grid and refines each local minimum by golden section; the 2-D PB search
@@ -30,8 +31,7 @@ from .distributions import (
     pmf_vector,
     tspb_vector,
 )
-from .distributions import _L10 as _LOG10_DIGITS
-from .distributions import _series_differences
+from .distributions import _pb_probs
 
 __all__ = [
     "FitResult",
@@ -82,6 +82,15 @@ class FitResult:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
+
+    @classmethod
+    def _of(cls, model: ModelParams, chi_square: float, converged: bool,
+            evaluations: int) -> "FitResult":
+        """df = 8 - the law's parameter count, with its p-value."""
+        df = 8 - model.n_params
+        return cls(model=model, chi_square=chi_square, df=df,
+                   p_value=chi_square_sf(chi_square, df), converged=converged,
+                   evaluations=evaluations)
 
     def to_csv_row(self, label: str = "") -> str:
         """CSV row: sequence, model, params, chi2, df, p."""
@@ -149,7 +158,7 @@ def fit_tspb(hist: DigitHistogram) -> FitResult:
     """Minimize the chi-square over TSPB's shape c in (0, 10].
 
     Multistart bracket scan at step 0.25 followed by golden-section
-    refinement of every local minimum; df = 7.
+    refinement of every local minimum.
     """
     nev = 0
 
@@ -172,9 +181,7 @@ def fit_tspb(hist: DigitHistogram) -> FitResult:
             nev += n
             if fx < best_val:
                 best_c, best_val = x, fx
-    p = chi_square_sf(best_val, 7)
-    return FitResult(model=TSPB(c=best_c), chi_square=best_val, df=7,
-                     p_value=p, converged=True, evaluations=nev)
+    return FitResult._of(TSPB(c=best_c), best_val, converged=True, evaluations=nev)
 
 
 def fit_pb(hist: DigitHistogram, m: int = 1000) -> FitResult:
@@ -182,7 +189,7 @@ def fit_pb(hist: DigitHistogram, m: int = 1000) -> FitResult:
 
     Nelder-Mead in (log alpha, log beta) space from a fixed multistart
     grid; result selection is lowest chi-square with ties going to the
-    earliest start; df = 6.
+    earliest start.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -194,15 +201,12 @@ def fit_pb(hist: DigitHistogram, m: int = 1000) -> FitResult:
 
     # hot path: skip model validation, let invalid/underflowed pmfs surface
     # as non-finite chi-squares and map them to a large sentinel
-    lo, hi = _LOG10_DIGITS[:9], _LOG10_DIGITS[1:]
-
     def obj(lp) -> float:
         nonlocal nev
         nev += 1
         a = math.exp(min(lp[0], _LOG_ALPHA_CAP))
         b = math.exp(min(lp[1], _LOG_BETA_CAP))
-        probs = (a * (hi ** b - lo ** b) + b * _series_differences(a, m)) / (a + b)
-        expected = n * probs
+        expected = n * _pb_probs(a, b, m)
         v = ((counts - expected) ** 2 / expected).sum()
         return float(v) if math.isfinite(v) else 1e300
 
@@ -227,8 +231,5 @@ def fit_pb(hist: DigitHistogram, m: int = 1000) -> FitResult:
                 best = res
     alpha = math.exp(min(float(best.x[0]), _LOG_ALPHA_CAP))
     beta = math.exp(min(float(best.x[1]), _LOG_BETA_CAP))
-    chi2 = float(best.fun)
-    p = chi_square_sf(chi2, 6)
-    return FitResult(model=PB(alpha=alpha, beta=beta, m=m), chi_square=chi2,
-                     df=6, p_value=p, converged=bool(best.success),
-                     evaluations=nev)
+    return FitResult._of(PB(alpha=alpha, beta=beta, m=m), float(best.fun),
+                         converged=bool(best.success), evaluations=nev)

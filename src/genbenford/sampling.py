@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digits import DigitHistogram, _digit_from_log10_fraction, _digits_from_log10_fractions
-from .distributions import PB, TSPB, Benford, ModelParams, pmf_vector
+from .distributions import PB, TSPB, Benford, ModelParams, _check_model, pmf_vector
 from .fitting import chi_square_stat
 
 __all__ = [
@@ -120,14 +120,12 @@ def first_digit_of_exponent(w: float) -> int:
     return _digit_from_log10_fraction(w % 1.0)
 
 
-def _sample_exponents(model: ModelParams, u: np.ndarray) -> np.ndarray:
-    if isinstance(model, Benford):
-        return u
-    if isinstance(model, TSPB):
-        return sample_tspp(1.0, model.c, u)
-    if isinstance(model, PB):
-        return sample_dp(model.alpha, model.beta, u)
-    raise TypeError(f"not a digit-law model: {model!r}")
+# law -> draw of its generating exponent W from uniform variates u
+_EXPONENT_SAMPLERS = {
+    Benford: lambda model, u: u,
+    TSPB: lambda model, u: sample_tspp(1.0, model.c, u),
+    PB: lambda model, u: sample_dp(model.alpha, model.beta, u),
+}
 
 
 def empirical_digit_pmf(model: ModelParams, n_samples: int, seed: int) -> DigitHistogram:
@@ -136,7 +134,8 @@ def empirical_digit_pmf(model: ModelParams, n_samples: int, seed: int) -> DigitH
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
-    w = _sample_exponents(model, rng.random(n_samples))
+    draw = _EXPONENT_SAMPLERS[type(_check_model(model))]
+    w = draw(model, rng.random(n_samples))
     digits = _digits_from_log10_fractions(w - np.floor(w))
     counts = np.bincount(digits, minlength=10)[1:10]
     return DigitHistogram(tuple(int(c) for c in counts), n_samples)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .digits import DigitHistogram, first_digit_int, first_digit_real, histogram
+from .digits import DigitHistogram, _first_digits, histogram
 from .reference import data_dir
 
 __all__ = [
@@ -297,42 +297,15 @@ def format_values(values) -> str:
 def generate(spec: SequenceSpec):
     """Yield the values described by `spec` (ints, or floats for
     square_roots and real-valued custom files)."""
-    kind, count = spec.kind, spec.param
-    if kind == "squares":
-        return squares(count)
-    if kind == "cubes":
-        return cubes(count)
-    if kind == "square_roots":
-        return square_roots(count)
-    if kind == "primes_below":
-        return primes_below(count)
-    if kind == "pentagonal":
-        return pentagonal(count)
-    if kind == "fibonacci":
-        return fibonacci(count)
-    if kind == "catalan":
-        return catalan(count)
-    if kind == "bell":
-        return bell(count)
-    if kind == "partition":
-        return partition(count)
-    if kind == "lucky":
-        return lucky(count)
-    if kind == "ulam":
-        return ulam(count)
-    if kind == "keith":
-        return keith(count)
-    if kind == "idoneal":
+    if spec.kind == "idoneal":
         return idoneal()
-    if kind == "custom_file":
+    if spec.kind == "custom_file":
         return read_values(spec.path)
-    raise ValueError(f"unknown sequence kind: {kind!r}")
+    # every other kind is this module's generator of that name, looked up
+    # at call time so that a rebound module attribute takes effect
+    return globals()[spec.kind](spec.param)
 
 
 def digit_histogram_of(spec: SequenceSpec) -> DigitHistogram:
     """Generate the sequence and tally its first digits."""
-    digits = (
-        first_digit_int(v) if isinstance(v, int) else first_digit_real(v)
-        for v in generate(spec)
-    )
-    return histogram(digits)
+    return histogram(_first_digits(generate(spec)))

@@ -295,3 +295,53 @@ class TestDataDirOverride:
                            "--format", "csv", "--rows", "mixing")
         assert code == 0
         assert "Blended sequence" in out
+
+
+class TestExitCodes:
+    """2 for a missing or invalid flag value, 1 for a failed computation."""
+
+    def test_seq_param_zero_is_usage_error(self, capsys):
+        code, _, _ = run(capsys, "seq", "--kind", "squares", "--param", "0")
+        assert code == 2
+
+    def test_overflowing_c_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "pmf", "--model", "tspb", "--c", "1e400")
+        assert code == 2
+        assert "--c" in err
+
+    def test_bad_tables_m_is_usage_error(self, capsys):
+        code, _, _ = run(capsys, "tables", "--table", "fits", "--rows", "square",
+                         "--m", "0")
+        assert code == 2
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, _, _ = run(capsys, "verify", "--model", "benford", "--n", "1000",
+                         "--seed", "-1")
+        assert code == 2
+
+    def test_unreachable_adaptive_truncation_is_failure(self, capsys):
+        code, _, err = run(capsys, "pmf", "--model", "pb", "--alpha", "0.001",
+                           "--beta", "1", "--m", "adaptive")
+        assert code == 1
+        assert "terms" in err
+
+    def test_huge_integer_in_file_is_failure(self, capsys, tmp_path):
+        # past int()'s digit limit the value is read as float inf: a failed
+        # computation on the file's data, not a bad flag
+        path = tmp_path / "big.txt"
+        path.write_text("7" + "0" * 4999 + "\n")
+        code, _, _ = run(capsys, "fit", "--file", str(path), "--model", "benford")
+        assert code == 1
+
+
+def test_tables_adaptive_m_matches_fit(capsys):
+    code, out, _ = run(capsys, "tables", "--table", "fits", "--rows", "square",
+                       "--m", "adaptive", "--format", "csv")
+    assert code == 0
+    row = next(csv.DictReader(io.StringIO(out)))
+    code, out, _ = run(capsys, "fit", "--seq", "squares", "100", "--model", "pb",
+                       "--m", "adaptive", "--format", "json")
+    assert code == 0
+    fit = json.loads(out)
+    assert row["pb_m"] == str(fit["model"]["m"])
+    assert row["pb_chi2"] == repr(fit["chi_square"])

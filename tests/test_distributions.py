@@ -198,3 +198,19 @@ class TestModels:
             PB(alpha=1.0, beta=1.0, m=0)
         with pytest.raises(ValueError):
             PB(alpha=-1.0, beta=1.0)
+
+
+class TestModelFromDict:
+    def test_coerces_parameters(self):
+        assert model_from_dict({"model": "tspb", "c": "2.5"}) == TSPB(2.5)
+        pb = model_from_dict({"model": "pb", "alpha": "2", "beta": 1, "m": "50"})
+        assert pb == PB(2.0, 1.0, 50)
+        assert isinstance(pb.alpha, float) and isinstance(pb.m, int)
+
+    def test_missing_m_defaults_to_1000(self):
+        assert model_from_dict({"model": "pb", "alpha": 2.0, "beta": 1.0}).m == 1000
+
+    def test_unknown_or_missing_tag(self):
+        for obj in ({"model": "zipf"}, {"c": 2.0}):
+            with pytest.raises(ValueError, match="unknown model tag"):
+                model_from_dict(obj)

@@ -249,3 +249,10 @@ class TestSpecAndCustomFiles:
     def test_square_roots_yield_floats(self):
         values = list(square_roots(5))
         assert values == pytest.approx([1.0, 2 ** 0.5, 3 ** 0.5, 2.0, 5 ** 0.5])
+
+
+def test_generate_looks_generators_up_at_call_time(monkeypatch):
+    import genbenford.sequences as seq
+
+    monkeypatch.setattr(seq, "fibonacci", lambda count: [7] * count)
+    assert list(generate(SequenceSpec("fibonacci", 5))) == [7, 7, 7, 7, 7]
