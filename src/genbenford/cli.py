@@ -19,6 +19,7 @@ from dataclasses import fields
 from .digits import DigitHistogram
 from .distributions import (
     _LAWS,
+    _M_LIMIT,
     PB,
     Benford,
     adaptive_truncation,
@@ -64,8 +65,8 @@ def _resolve_m(mflag, survey_m=None):
     except (TypeError, ValueError):
         raise UsageError(f"--m must be an integer, 'adaptive' or 'survey', "
                          f"got {mflag!r}") from None
-    if m < 1:
-        raise UsageError(f"--m must be >= 1, got {m}")
+    if not 1 <= m < _M_LIMIT:
+        raise UsageError(f"--m must be in [1, 2**1024), got {mflag}")
     return m
 
 

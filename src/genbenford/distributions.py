@@ -13,19 +13,27 @@ log meaning log10 throughout:
                   + b/(a+b) * sum_{k>=1} ((k + log d)^-a - (k + log(1+d))^-a)
              Approaches Benford as b -> 1, a -> infinity.
 
-The PB series is truncated at an index m.  The truncation leaves a total
-mass deficit of exactly b/(a+b) * (m+1)^-a, which is reported, never
-redistributed over the digits.
+The PB series is truncated at an index m, 1 <= m < 2**1024.  The
+truncation leaves a total mass deficit of exactly b/(a+b) * (m+1)^-a,
+which is reported, never redistributed over the digits.
+
+The truncated series is evaluated in time that does not grow with m: its
+first 12 terms are summed directly and the rest by Euler-Maclaurin
+summation (DLMF 2.10.1) with the Bernoulli corrections B2..B10, every
+term differenced between adjacent digits inside the term.  It agrees with
+the Hurwitz zeta form zeta(a, 1 + log d) - zeta(a, m + 1 + log d)
+(DLMF 25.11) to 1e-12 relative per digit for a in [0.05, 1e9] and every
+m, which is float64 precision for the pmf.
 """
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import lru_cache
 from typing import ClassVar, Union, get_args
 
-import mpmath
 import numpy as np
 from scipy import special
 
@@ -53,9 +61,16 @@ __all__ = [
 # log10(1), ..., log10(10)
 _L10 = np.log10(np.arange(1, 11, dtype=float))
 
-# Largest truncation index evaluated by direct summation; beyond this the
-# partial sums are evaluated in closed form through the Hurwitz zeta function.
-_DIRECT_SERIES_LIMIT = 200_000
+# PB series: _HEAD terms are summed directly; each end of the
+# Euler-Maclaurin tail has one row per exponent offset: half the end term
+# (0), the odd derivatives f', f''', ..., f^(9) (1, 3, ..., 9) and the
+# integral (-1)
+_HEAD = 12
+_TAIL_OFFSETS = (0.0, 1.0, 3.0, 5.0, 7.0, 9.0, -1.0)
+_TAIL_ALPHA_CAP = 1e30
+
+# PB's m must keep m + 1 within the float64 range
+_M_LIMIT = int(sys.float_info.max)
 
 _TRUNCATION_LIMIT = 10 ** 18
 
@@ -95,7 +110,7 @@ class TSPB:
 @dataclass(frozen=True)
 class PB:
     """Pareto Benford law with tail exponent alpha > 0, lower exponent
-    beta > 0, and series truncation index m >= 1."""
+    beta > 0, and series truncation index 1 <= m < 2**1024."""
 
     alpha: float
     beta: float
@@ -109,8 +124,8 @@ class PB:
             raise ValueError(f"alpha must be a positive real, got {self.alpha}")
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"beta must be a positive real, got {self.beta}")
-        if int(self.m) != self.m or self.m < 1:
-            raise ValueError(f"m must be an integer >= 1, got {self.m}")
+        if not (1 <= self.m < _M_LIMIT and int(self.m) == self.m):
+            raise ValueError(f"m must be an integer in [1, 2**1024), got {self.m}")
         object.__setattr__(self, "m", int(self.m))
 
     def pmf(self) -> np.ndarray:
@@ -185,35 +200,67 @@ def tspb_pmf(d: int, c: float) -> float:
 
 
 @lru_cache(maxsize=8)
-def _series_grid(m: int) -> np.ndarray:
-    # (m, 10) grid of k + log10(d), reused across evaluations at the same m
-    return np.arange(1, m + 1, dtype=float)[:, None] + _L10[None, :]
+def _series_table(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The part of _series_differences that depends on m alone: for each
+    row's t, the (2, rows, 9) table of -log(t + x_d) and
+    log(t + x_d) - log(t + x_{d+1}), and the (rows, 1) exponent offsets."""
+    ts = list(range(1, min(m, _HEAD) + 1))
+    offsets = [0.0] * len(ts)
+    if m > _HEAD:
+        ts += [_HEAD + 1] * len(_TAIL_OFFSETS) + [m] * len(_TAIL_OFFSETS)
+        offsets += _TAIL_OFFSETS * 2
+    t = np.array(ts, dtype=float)[:, None]
+    # log1p(x/t) keeps x_d at any t, where t + x_d would round to t
+    lo, hi = np.log1p(_L10[:9] / t), np.log1p(_L10[1:] / t)
+    return np.stack([-(np.log(t) + lo), lo - hi]), np.array(offsets)[:, None]
+
+
+def _tail_weights(alpha: float) -> tuple:
+    # every tail row is exactly 0 long before the cap (13^-300 underflows);
+    # capping alpha here only keeps 0 * weight from becoming nan
+    a = min(alpha, _TAIL_ALPHA_CAP)
+    r3 = a * (a + 1) * (a + 2)  # rising factorials (a)_3 .. (a)_9
+    r5 = r3 * (a + 3) * (a + 4)
+    r7 = r5 * (a + 5) * (a + 6)
+    r9 = r7 * (a + 7) * (a + 8)
+    # B_2j / (2j)! * (a)_(2j-1) on the odd derivatives, 1/(a - 1) on the
+    # integral (its alpha == 1 limit is added apart)
+    q = (a / 12, -r3 / 720, r5 / 30240, -r7 / 1209600, r9 / 47900160,
+         1 / (alpha - 1) if alpha != 1 else 0.0)
+    return (-0.5, *[-v for v in q], -0.5, *q)  # rows at t = 13, then t = m
 
 
 def _series_differences(alpha: float, m: int) -> np.ndarray:
-    """sum_{k=1..m} ((k + log10 d)^-alpha - (k + log10 (d+1))^-alpha) for
-    d = 1..9, as a length-9 array.
+    """S_d = sum_{k=1..m} ((k + x_d)^-alpha - (k + x_{d+1})^-alpha) for
+    d = 1..9, x_d = log10 d, as a length-9 array.
 
-    Direct summation up to _DIRECT_SERIES_LIMIT terms.  For larger m each
-    partial sum is zeta(alpha, 1+x) - zeta(alpha, m+1+x) through the
-    analytically continued Hurwitz zeta (digamma at alpha == 1); adjacent
-    digits are differenced before leaving extended precision because for
-    alpha < 1 the individual partial sums grow like m^(1-alpha) and would
-    swamp float64.
+    One evaluation whose cost does not depend on m.  The first min(m, 12)
+    terms are summed directly.  For m > 12 the terms k = 13..m are summed
+    by Euler-Maclaurin (DLMF 2.10.1): the integral from 13 to m, half the
+    end terms at 13 and m, and the Bernoulli corrections B2..B10 on the odd
+    derivatives at both ends.  Each term, derivative and integral is
+    differenced between digits d and d+1 inside itself, as
+    (t + x_d)^-e * -expm1(-e * Delta) with
+    Delta = log(t + x_{d+1}) - log(t + x_d) = log1p(x_{d+1}/t) - log1p(x_d/t),
+    so no partial sum grows like m^(1 - alpha) and no exp overflows; at
+    alpha == 1 the integral is its log limit Delta(13) - Delta(m).  The 12
+    head rows and 7 rows per tail end go through one exp/expm1 pass and
+    one weight vector; the per-m log table is cached.
+
+    Matches the differenced Hurwitz zeta form
+    zeta(alpha, 1 + x_d) - zeta(alpha, m + 1 + x_d) (DLMF 25.11) to 1e-12
+    relative per digit for alpha in [0.05, 1e9] and every m that PB accepts
+    (tests/test_distributions.py checks it at 40 digits; the worst error
+    seen over that range is 1.1e-13).
     """
-    if m <= _DIRECT_SERIES_LIMIT:
-        sums = (_series_grid(m) ** (-alpha)).sum(axis=0)
-        return sums[:9] - sums[1:]
-    out = np.empty(9)
-    with mpmath.workdps(30):
-        if abs(alpha - 1.0) < 1e-12:
-            sums = [mpmath.digamma(m + 1 + x) - mpmath.digamma(1 + x)
-                    for x in _L10]
-        else:
-            sums = [mpmath.zeta(alpha, 1 + x) - mpmath.zeta(alpha, m + 1 + x)
-                    for x in _L10]
-        for i in range(9):
-            out[i] = float(sums[i] - sums[i + 1])
+    table, offsets = _series_table(m)
+    z = (alpha + offsets) * table
+    rows = np.exp(z[0]) * np.expm1(z[1])  # (t + x_{d+1})^-e - (t + x_d)^-e
+    tail = m > _HEAD
+    weights = (-1.0,) * min(m, _HEAD) + (_tail_weights(alpha) if tail else ())
+    out = np.array(weights) @ rows
+    if tail and alpha == 1:
+        out += table[1, -1] - table[1, _HEAD + len(_TAIL_OFFSETS) - 1]
     return out
 
 
@@ -236,8 +283,8 @@ def pb_pmf(d: int, alpha: float, beta: float, m: int = 1000) -> float:
 def pb_truncation_deficit(alpha: float, beta: float, m: int) -> float:
     """Total mass lost to truncating the PB series at m:
     beta/(alpha+beta) * (m+1)^-alpha."""
-    if alpha <= 0 or beta <= 0 or m < 1:
-        raise ValueError("alpha, beta must be > 0 and m >= 1")
+    if alpha <= 0 or beta <= 0 or not 1 <= m < _M_LIMIT:
+        raise ValueError("alpha, beta must be > 0 and 1 <= m < 2**1024")
     return beta / (alpha + beta) * float(m + 1) ** (-alpha)
 
 

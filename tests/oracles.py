@@ -3,11 +3,14 @@
 Everything here deliberately avoids the package's own algorithms: partition
 counts come from a coin-style DP table instead of the pentagonal recurrence,
 Bell numbers from the binomial convolution instead of the triangle, Keith
-completeness from a vectorized exhaustive search, and the 1-D fit check from
-a dense parameter grid instead of bracketing plus golden section.
+completeness from a vectorized exhaustive search, the 1-D fit check from
+a dense parameter grid instead of bracketing plus golden section, and the PB
+series from the Hurwitz zeta function in mpmath instead of Euler-Maclaurin
+summation in float64.
 """
 import math
 
+import mpmath
 import numpy as np
 
 _LOG10 = np.log10(np.arange(1, 11, dtype=float))
@@ -101,3 +104,21 @@ def dp_cdf(w, alpha, beta):
         upper = 1.0 - beta / (alpha + beta) * np.where(w > 0, w, 1.0) ** (-alpha)
     out = np.where(w <= 1.0, lower, upper)
     return np.clip(out, 0.0, 1.0)
+
+
+def pb_series_exact(alpha, m, dps=40):
+    """sum_{k=1..m} ((k + log10 d)^-alpha - (k + log10(d+1))^-alpha) for
+    d = 1..9 at dps digits: direct sums for m <= 200, else differenced
+    Hurwitz zeta values (digamma at alpha = 1); rounded to float at the end.
+    """
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(alpha)
+        xs = [mpmath.log10(d) for d in range(1, 11)]
+        if m <= 200:
+            sums = [mpmath.fsum((k + x) ** -a for k in range(1, m + 1)) for x in xs]
+        elif a == 1:
+            sums = [mpmath.digamma(m + 1 + x) - mpmath.digamma(1 + x) for x in xs]
+        else:
+            sums = [mpmath.zeta(a, 1 + x) - mpmath.zeta(a, mpmath.mpf(m) + 1 + x)
+                    for x in xs]
+        return np.array([float(sums[i] - sums[i + 1]) for i in range(9)])

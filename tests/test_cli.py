@@ -314,6 +314,12 @@ class TestExitCodes:
                          "--m", "0")
         assert code == 2
 
+    def test_m_past_float_range_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "fit", "--counts", "30,17,12,10,8,7,6,5,5",
+                           "--model", "pb", "--m", str(2 ** 1024))
+        assert code == 2
+        assert "--m" in err
+
     def test_negative_seed_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "--model", "benford", "--n", "1000",
                          "--seed", "-1")

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -6,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import genbenford.distributions as dist
-from oracles import sieve_primes
+from oracles import pb_series_exact, sieve_primes
 from genbenford import (
     PB,
     TSPB,
@@ -107,16 +111,41 @@ class TestPb:
         deficit = pb_truncation_deficit(alpha, beta, m)
         assert abs(total - (1.0 - deficit)) < 1e-12
 
-    def test_zeta_path_agrees_with_direct_summation(self, monkeypatch):
-        direct = {a: dist._series_differences(a, 5000)
-                  for a in (0.5, 1.0, 1.0 + 1e-9, 1.0 - 1e-9, 2.0, 15.55957)}
-        monkeypatch.setattr(dist, "_DIRECT_SERIES_LIMIT", 10)
-        for a, expected in direct.items():
-            assert_allclose(dist._series_differences(a, 5000), expected,
-                            rtol=0, atol=1e-12)
+    def test_series_matches_hurwitz_zeta_oracle(self):
+        for alpha in (0.05, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0, 15.55957,
+                      1e3, 1e9):
+            for m in (1, 12, 13, 14, 100, 5000, 2 * 10 ** 5, 10 ** 9, 10 ** 12,
+                      10 ** 15, 10 ** 18):
+                expected = pb_series_exact(alpha, m)
+                got = dist._series_differences(alpha, m)
+                underflow = expected == 0
+                msg = f"alpha={alpha}, m={m}"
+                assert np.all(got[underflow] == 0), msg
+                assert_allclose(got[~underflow], expected[~underflow],
+                                rtol=1e-12, atol=0, err_msg=msg)
+
+    def test_m_far_past_int64_matches_oracle(self):
+        # m + 1 + log10 d needs 300 of the oracle's digits to keep log10 d
+        m = 10 ** 300
+        series = pb_series_exact(0.5, m, dps=360)
+        expected = (0.5 * benford_vector() + series) / 1.5
+        assert_allclose(pb_vector(0.5, 1.0, m), expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("m", [dist._M_LIMIT, 2 ** 1024, 10 ** 400],
+                             ids=["int_float_max", "2**1024", "10**400"])
+    def test_rejects_m_past_float_range(self, m):
+        with pytest.raises(ValueError):
+            PB(2.0, 1.0, m)
+        with pytest.raises(ValueError):
+            pb_truncation_deficit(2.0, 1.0, m)
+
+    def test_largest_m_is_finite(self):
+        m = dist._M_LIMIT - 1
+        assert np.all(np.isfinite(pb_vector(2.0, 1.0, m)))
+        assert pb_truncation_deficit(2.0, 1.0, m) == 0.0
 
     def test_values_in_unit_interval(self):
-        for alpha in (0.5, 1.0, 5.0, 100.0):
+        for alpha in (0.5, 1.0, 5.0, 100.0, 1e40, 1e300):
             for beta in (0.5, 1.0, 3.0):
                 v = pb_vector(alpha, beta, 500)
                 assert np.all(v >= 0.0) and np.all(v <= 1.0)
@@ -214,3 +243,14 @@ class TestModelFromDict:
         for obj in ({"model": "zipf"}, {"c": 2.0}):
             with pytest.raises(ValueError, match="unknown model tag"):
                 model_from_dict(obj)
+
+
+def test_import_leaves_mpmath_unloaded():
+    # mpmath is a test dependency only; importing the package must not load it
+    src = str(Path(dist.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, genbenford; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

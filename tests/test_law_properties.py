@@ -1,6 +1,7 @@
 """Property tests over generated valid laws: serialization, pmf routing,
 the PB truncation identity and the df convention."""
 import math
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
@@ -26,6 +27,13 @@ positive = st.floats(min_value=0.05, max_value=50.0)
 tspb_laws = st.builds(TSPB, c=positive)
 pb_laws = st.builds(PB, alpha=positive, beta=positive, m=st.integers(1, 1000))
 laws = st.one_of(st.just(Benford()), tspb_laws, pb_laws)
+# log-uniform over alpha in [0.05, 1e9] and m in [1, 10^18]
+wide_pb_laws = st.builds(
+    PB,
+    alpha=st.floats(math.log(0.05), math.log(1e9)).map(math.exp),
+    beta=positive,
+    m=st.floats(0.0, 18.0).map(lambda e: round(10.0 ** e)),
+)
 
 OWN_VECTOR = {
     Benford: lambda law: benford_vector(),
@@ -52,6 +60,16 @@ def test_pmf_vector_is_the_laws_own_vector(law):
 @given(pb_laws)
 def test_pb_mass_plus_deficit_is_one(law):
     total = math.fsum(pmf_vector(law))
+    deficit = pb_truncation_deficit(law.alpha, law.beta, law.m)
+    assert abs(total + deficit - 1.0) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(wide_pb_laws)
+def test_pb_mass_plus_deficit_is_one_over_alpha_and_m(law):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or invalid value anywhere
+        total = math.fsum(pmf_vector(law))
     deficit = pb_truncation_deficit(law.alpha, law.beta, law.m)
     assert abs(total + deficit - 1.0) <= 1e-12
 
