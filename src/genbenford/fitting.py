@@ -5,12 +5,17 @@ pooling.  Degrees of freedom follow the 9-cells-minus-1-minus-estimated-
 parameters convention, 8 - n_params of the law: 8 for Benford, 7 for
 TSPB, 6 for PB.
 
-Both fitters are deterministic: the 1-D TSPB search scans a fixed bracket
-grid and refines each local minimum by golden section; the 2-D PB search
-runs Nelder-Mead from a fixed grid of starts in (log alpha, log beta)
-space, with alpha capped at 1e9 (the chi-square surface goes flat in
-alpha for near-Benford data, so the cap only pins an arbitrarily large
-estimate; the minimized chi-square is unaffected).
+Both fitters are deterministic.  The 1-D TSPB search scans a fixed bracket
+grid and refines each local minimum by golden section.  The 2-D PB search
+is a Nelder-Mead multistart in (log alpha, log beta) space: 37 fixed
+starts run a coarse pass and the best 3 endpoints are polished, each
+stage with all its simplices in lockstep, one call of a batched
+chi-square objective per step.  Each simplex reaches the point,
+chi-square and evaluation count that SciPy's Nelder-Mead reaches from its
+start (tests/test_fitting.py checks this).  alpha is capped at 1e9 (the
+chi-square surface goes flat in alpha for near-Benford data, so the cap
+only pins an arbitrarily large estimate; the minimized chi-square is
+unaffected).
 """
 from __future__ import annotations
 
@@ -19,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .digits import DigitHistogram
 from .distributions import (
@@ -57,6 +61,17 @@ _NM_STARTS = [(la, lb) for la in (-1.0, 0.0, 1.0, 2.0, 4.0, 8.0)
 # extra start at a near-Benford corner (alpha = 1e6, beta = 1) so the fit is
 # never worse than the near-Benford member of the family
 _NM_STARTS.append((math.log(1e6), 0.0))
+
+# two-stage multistart: a coarse pass over every start ranks the basins,
+# then the best few coarse endpoints are polished to full precision
+_COARSE = dict(xatol=1e-3, fatol=1e-6, maxiter=150, maxfev=200)
+_POLISH = dict(xatol=1e-8, fatol=1e-12, maxiter=3000, maxfev=3500)
+
+# Nelder-Mead coefficients (reflection, expansion, contraction, shrink) and
+# initial simplex steps (relative on nonzero coordinates, absolute on zero
+# ones), as in SciPy
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
 
 
 @dataclass(frozen=True)
@@ -184,52 +199,134 @@ def fit_tspb(hist: DigitHistogram) -> FitResult:
     return FitResult._of(TSPB(c=best_c), best_val, converged=True, evaluations=nev)
 
 
+def _pb_objective(hist: DigitHistogram, m: int):
+    """The batched objective, (K, 2) points in (log alpha, log beta) -> K
+    chi-squares: alpha and beta capped, a non-finite chi-square (from an
+    underflowed or invalid pmf) mapped to 1e300."""
+    counts = np.asarray(hist.counts, dtype=float)
+    n = hist.sample_size
+
+    def chi_squares(lp: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            a = np.exp(np.minimum(lp[:, 0], _LOG_ALPHA_CAP))
+            b = np.exp(np.minimum(lp[:, 1], _LOG_BETA_CAP))
+            # C order, so that a row's sum does not depend on how many rows
+            expected = n * np.ascontiguousarray(_pb_probs(a, b, m))
+            v = ((counts - expected) ** 2 / expected).sum(axis=1)
+        return np.where(np.isfinite(v), v, 1e300)
+
+    return chi_squares
+
+
+def _simplex_run(x0, xatol: float, fatol: float, maxiter: int, maxfev: int):
+    """One Nelder-Mead run as a generator that yields the points it needs
+    evaluated next, is sent their values, and returns (x, fun, nfev,
+    success).  A line-by-line port of SciPy 1.17's _minimize_neldermead
+    (no bounds), down to the order of its float64 operations and its
+    refusal of any evaluation past maxfev, partway through an iteration
+    included."""
+    n = len(x0)
+    sim = [[float(c) for c in x0]]
+    for k in range(n):
+        y = list(sim[0])
+        y[k] = (1 + _NONZDELT) * y[k] if y[k] != 0 else _ZDELT
+        sim.append(y)
+    nfev = 0
+
+    def ask(points):
+        nonlocal nfev
+        points = points[:maxfev - nfev]
+        nfev += len(points)
+        return (yield points) if points else []
+
+    def by_value(sim, fsim):  # a stable sort, as numpy's argsort of 3 values
+        order = sorted(range(n + 1), key=fsim.__getitem__)
+        return [sim[i] for i in order], [fsim[i] for i in order]
+
+    values = yield from ask(sim)
+    sim, fsim = by_value(sim, values + [math.inf] * (n + 1 - len(values)))
+    iterations = 1
+    success = False
+    while nfev < maxfev and iterations < maxiter:
+        best, worst = sim[0], sim[-1]
+        if (all(abs(c - b) <= xatol for vertex in sim[1:] for c, b in zip(vertex, best))
+                and all(abs(fsim[0] - f) <= fatol for f in fsim[1:])):
+            success = True
+            break
+        xbar = [sum(c[1:], c[0]) / n for c in zip(*sim[:-1])]
+        xr = [(1 + _RHO) * c - _RHO * w for c, w in zip(xbar, worst)]
+        (fxr,) = yield from ask([xr])
+        refused = shrink = False
+        if fxr < fsim[0]:
+            xe = [(1 + _RHO * _CHI) * c - _RHO * _CHI * w for c, w in zip(xbar, worst)]
+            fx = yield from ask([xe])
+            refused = not fx
+            if fx:
+                sim[-1], fsim[-1] = (xe, fx[0]) if fx[0] < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:  # contract, outside the simplex or inside it
+            outside = fxr < fsim[-1]
+            xc = [(1 + _PSI * _RHO) * c - _PSI * _RHO * w if outside
+                  else (1 - _PSI) * c + _PSI * w for c, w in zip(xbar, worst)]
+            fx = yield from ask([xc])
+            refused = not fx
+            shrink = bool(fx) and not (fx[0] <= fxr if outside else fx[0] < fsim[-1])
+            if fx and not shrink:
+                sim[-1], fsim[-1] = xc, fx[0]
+        if shrink:
+            points = [[b + _SIGMA * (c - b) for b, c in zip(best, vertex)] for vertex in sim[1:]]
+            values = yield from ask(points)
+            refused = len(values) < n
+            # each vertex moves just before its evaluation, so a refusal
+            # leaves the refused vertex moved with its old value
+            sim[1:2 + len(values)] = points[:1 + len(values)]
+            fsim[1:1 + len(values)] = values
+        if not refused:
+            iterations += 1
+        sim, fsim = by_value(sim, fsim)
+    return sim[0], min(fsim), nfev, success
+
+
+def _nelder_mead(f, x0: np.ndarray, **options) -> tuple[np.ndarray, ...]:
+    """_simplex_run from each row of x0 (S, N), all in lockstep: each step
+    calls f, (K, N) -> (K,), once on the points every unfinished run waits
+    for.  Returns (x, fun, nfev, success), one row per start; maxfev >= 1."""
+    runs = [_simplex_run(x, **options) for x in x0]
+    asks = {i: run.send(None) for i, run in enumerate(runs)}
+    results = {}
+    while asks:
+        values = f(np.array([p for points in asks.values() for p in points])).tolist()
+        for i, points in list(asks.items()):
+            try:
+                asks[i] = runs[i].send(values[:len(points)])
+            except StopIteration as done:
+                results[i] = done.value
+                del asks[i]
+            del values[:len(points)]
+    return tuple(np.array(v) for v in zip(*(results[i] for i in range(len(runs)))))
+
+
 def fit_pb(hist: DigitHistogram, m: int = 1000) -> FitResult:
     """Minimize the chi-square over PB's (alpha, beta) at truncation m.
 
-    Nelder-Mead in (log alpha, log beta) space from a fixed multistart
-    grid; result selection is lowest chi-square with ties going to the
-    earliest start.
+    Two Nelder-Mead stages in (log alpha, log beta) space, each with its
+    simplices in lockstep: every start of a fixed grid runs a coarse pass,
+    the best 3 endpoints (ties to the earliest start) are polished, and
+    the lowest polished chi-square wins.  `converged` says the winning
+    simplex stopped on its tolerances, not on an iteration or evaluation
+    limit; `evaluations` counts the points of both stages.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    counts = np.asarray(hist.counts, dtype=float)
+    m = PB(1.0, 1.0, m).m  # the law's own check of m
     if hist.sample_size < 1:
         raise ValueError("histogram must have sample_size >= 1")
-    n = hist.sample_size
-    nev = 0
-
-    # hot path: skip model validation, let invalid/underflowed pmfs surface
-    # as non-finite chi-squares and map them to a large sentinel
-    def obj(lp) -> float:
-        nonlocal nev
-        nev += 1
-        a = math.exp(min(lp[0], _LOG_ALPHA_CAP))
-        b = math.exp(min(lp[1], _LOG_BETA_CAP))
-        expected = n * _pb_probs(a, b, m)
-        v = ((counts - expected) ** 2 / expected).sum()
-        return float(v) if math.isfinite(v) else 1e300
-
-    # two-stage multistart: a coarse pass over every start ranks the basins,
-    # then the best few coarse endpoints are polished to full precision
-    coarse = []
-    best = None
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for start in _NM_STARTS:
-            res = optimize.minimize(
-                obj, np.asarray(start), method="Nelder-Mead",
-                options=dict(xatol=1e-3, fatol=1e-6, maxiter=150, maxfev=200),
-            )
-            coarse.append(res)
-        order = sorted(range(len(coarse)), key=lambda i: (coarse[i].fun, i))
-        for i in order[:3]:
-            res = optimize.minimize(
-                obj, coarse[i].x, method="Nelder-Mead",
-                options=dict(xatol=1e-8, fatol=1e-12, maxiter=3000, maxfev=3500),
-            )
-            if best is None or res.fun < best.fun:
-                best = res
-    alpha = math.exp(min(float(best.x[0]), _LOG_ALPHA_CAP))
-    beta = math.exp(min(float(best.x[1]), _LOG_BETA_CAP))
-    return FitResult._of(PB(alpha=alpha, beta=beta, m=m), float(best.fun),
-                         converged=bool(best.success), evaluations=nev)
+    objective = _pb_objective(hist, m)
+    x, fun, nfev, _ = _nelder_mead(objective, np.array(_NM_STARTS), **_COARSE)
+    order = sorted(range(len(_NM_STARTS)), key=lambda i: (fun[i], i))[:3]
+    px, pfun, pnfev, psuccess = _nelder_mead(objective, x[order], **_POLISH)
+    best = int(np.argmin(pfun))
+    alpha = math.exp(min(float(px[best, 0]), _LOG_ALPHA_CAP))
+    beta = math.exp(min(float(px[best, 1]), _LOG_BETA_CAP))
+    return FitResult._of(PB(alpha=alpha, beta=beta, m=m), float(pfun[best]),
+                         converged=bool(psuccess[best]),
+                         evaluations=int(nfev.sum() + pnfev.sum()))

@@ -191,6 +191,11 @@ class TestChiSquareSf:
                                              regularized=True))
         assert abs(chi_square_sf(x, df) - expected) < 1e-10
 
+    def test_huge_df_sums_few_terms_and_stays_a_probability(self):
+        # df/2 = 5e8 terms in all; only those near the peak are summed
+        assert chi_square_sf(5.0, 10 ** 9) == 1.0
+        assert chi_square_sf(1e300, 10 ** 9) == 0.0
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             chi_square_sf(-0.1, 8)
@@ -251,6 +256,18 @@ def test_import_leaves_mpmath_unloaded():
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import sys, genbenford; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is a test dependency only; importing the package must not load it
+    src = str(Path(dist.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, genbenford; "
+            "print(any(name.split('.')[0] == 'scipy' for name in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "False"

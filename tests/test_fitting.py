@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
+import genbenford.fitting as fitting
 from genbenford import (
     PB,
     TSPB,
@@ -160,6 +162,11 @@ class TestFitPb:
         with pytest.raises(ValueError):
             fit_pb(MIXING, m=0)
 
+    @pytest.mark.parametrize("m", [2 ** 1024, 10 ** 400, 2.5])
+    def test_rejects_m_that_pb_rejects(self, m):
+        with pytest.raises(ValueError, match=r"m must be an integer in \[1, 2\*\*1024\)"):
+            fit_pb(MIXING, m=m)
+
     def test_rejects_empty_histogram(self):
         with pytest.raises(ValueError):
             fit_pb(DigitHistogram.from_counts([0] * 9), m=100)
@@ -183,3 +190,68 @@ class TestFitResultSerialization:
         assert float(fields[3]) == r.chi_square
         assert int(fields[4]) == 6
         assert float(fields[5]) == r.p_value
+
+
+def _scipy_runs(f, starts, options):
+    """scipy's Nelder-Mead from each start on the batched objective f,
+    called one point at a time."""
+    def scalar(x):
+        return float(f(x[None, :])[0])
+    return [optimize.minimize(scalar, x, method="Nelder-Mead", options=options)
+            for x in starts]
+
+
+def _assert_same_runs(lockstep, reference):
+    x, fun, nfev, success = lockstep
+    for i, r in enumerate(reference):
+        assert np.array_equal(x[i], r.x), i
+        assert fun[i] == r.fun, i
+        assert nfev[i] == r.nfev, i
+        assert success[i] == r.success, i
+
+
+class TestLockstepNelderMead:
+    """fit_pb's lockstep engine against scipy's Nelder-Mead run start by
+    start: both see the same objective values, so the runs must agree
+    exactly."""
+
+    @pytest.mark.parametrize("hist,m", [
+        (reconstructed_histogram(survey_row("square")), 100),
+        (reconstructed_histogram(survey_row("mixing")), 100),
+        (reconstructed_histogram(survey_row("catalan")), 5000),
+        (DigitHistogram.from_counts([0, 0, 5, 0, 3, 0, 0, 1, 0]), 100),  # the 1e300 sentinel
+        (DigitHistogram.from_counts([1, 0, 0, 0, 0, 0, 0, 0, 0]), 100),
+    ])
+    def test_pb_stages_match_scipy(self, hist, m):
+        f = fitting._pb_objective(hist, m)
+        starts = np.array(fitting._NM_STARTS)
+        coarse = fitting._nelder_mead(f, starts, **fitting._COARSE)
+        _assert_same_runs(coarse, _scipy_runs(f, starts, fitting._COARSE))
+        x, fun = coarse[0], coarse[1]
+        ends = x[sorted(range(len(starts)), key=lambda i: (fun[i], i))[:3]]
+        polish = fitting._nelder_mead(f, ends, **fitting._POLISH)
+        _assert_same_runs(polish, _scipy_runs(f, ends, fitting._POLISH))
+
+    def test_non_finite_chi_square_is_the_sentinel(self):
+        f = fitting._pb_objective(DigitHistogram.from_counts([0, 0, 5, 0, 3, 0, 0, 1, 0]), 100)
+        assert f(np.array([[20.0, 700.0], [0.0, 0.0]]))[0] == 1e300
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_evaluation_limits_match_scipy(self, dim):
+        # a budget of 1..39 evaluations runs out in every phase of an
+        # iteration: the initial simplex, expansion, contraction and partway
+        # through a shrink; rounding makes ties between vertices
+        def rosenbrock(p):
+            return np.sum(100.0 * (p[:, 1:] - p[:, :-1] ** 2) ** 2 + (1 - p[:, :-1]) ** 2, axis=1)
+
+        def terraced(p):
+            return np.round(np.sum(p ** 2, axis=1), 1)
+
+        starts = np.zeros((4, dim))
+        starts[:, :2] = [[-1.2, 1.0], [0.0, 0.0], [3.0, -2.0], [0.5, 0.0]]
+        for f in (rosenbrock, terraced):
+            for maxfev in range(1, 40):
+                for maxiter in (5, 1000):
+                    options = dict(xatol=1e-4, fatol=1e-4, maxiter=maxiter, maxfev=maxfev)
+                    _assert_same_runs(fitting._nelder_mead(f, starts, **options),
+                                      _scipy_runs(f, starts, options))

@@ -1,11 +1,15 @@
 """Property tests over generated valid laws: serialization, pmf routing,
-the PB truncation identity and the df convention."""
+the PB truncation identity, the batched PB formula, the chi-square tail and
+the df convention."""
 import math
 import warnings
 
+import mpmath
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import genbenford.distributions as dist
 
 from genbenford import (
     PB,
@@ -13,6 +17,7 @@ from genbenford import (
     Benford,
     DigitHistogram,
     benford_vector,
+    chi_square_sf,
     fit_pb,
     fit_tspb,
     model_from_json,
@@ -72,6 +77,32 @@ def test_pb_mass_plus_deficit_is_one_over_alpha_and_m(law):
         total = math.fsum(pmf_vector(law))
     deficit = pb_truncation_deficit(law.alpha, law.beta, law.m)
     assert abs(total + deficit - 1.0) <= 1e-12
+
+
+# alpha log-uniform in [0.05, 1e9], or exactly 1 (the integral's log limit)
+wide_alpha = st.one_of(st.just(1.0), st.floats(math.log(0.05), math.log(1e9)).map(math.exp))
+wide_beta = st.floats(math.log(1e-3), math.log(1e3)).map(math.exp)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(st.tuples(wide_alpha, wide_beta), min_size=1, max_size=12),
+       st.floats(0.0, 18.0).map(lambda e: round(10.0 ** e)))
+def test_batched_pb_formula_rows_are_the_scalar_formula(params, m):
+    a, b = (np.array(v) for v in zip(*params))
+    rows = dist._pb_probs(a, b, m)
+    assert rows.shape == (len(params), 9)
+    for row, (ak, bk) in zip(rows, params):
+        np.testing.assert_allclose(row, dist._pb_probs(ak, bk, m), rtol=1e-14, atol=0)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(1, 60), st.floats(0.0, 2000.0))
+def test_chi_square_sf_matches_incomplete_gamma_oracle(df, x):
+    with mpmath.workdps(40):
+        expected = float(mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(x) / 2,
+                                         mpmath.inf, regularized=True))
+    if expected > 1e-300:
+        assert abs(chi_square_sf(x, df) - expected) <= 1e-11 * expected
 
 
 @settings(max_examples=3, deadline=None, database=None)
