@@ -5,85 +5,17 @@ first-digit extraction, integer sequence generators, minimum chi-square
 fitting, and Monte Carlo verification of the laws against their
 generating samplers.
 """
-from .digits import (
-    DigitHistogram,
-    first_digit_int,
-    first_digit_real,
-    histogram,
-    histogram_from_percentages,
-)
-from .distributions import (
-    PB,
-    TSPB,
-    Benford,
-    ModelParams,
-    adaptive_truncation,
-    benford_pmf,
-    benford_vector,
-    chi_square_sf,
-    model_from_dict,
-    model_from_json,
-    model_to_dict,
-    model_to_json,
-    pb_pmf,
-    pb_truncation_deficit,
-    pb_vector,
-    pmf_vector,
-    tspb_pmf,
-    tspb_vector,
-)
-from .fitting import FitResult, chi_square_stat, fit_pb, fit_tspb, goodness_of_fit
-from .reference import SurveyRow, data_dir, load_survey, reconstructed_histogram, survey_row
-from .sampling import (
-    GbmParams,
-    VerificationReport,
-    empirical_digit_pmf,
-    first_digit_of_exponent,
-    gbm_char_roots,
-    sample_dp,
-    sample_tspp,
-    verification_report,
-)
-from .sequences import (
-    SEQUENCE_KINDS,
-    SequenceSpec,
-    bell,
-    catalan,
-    cubes,
-    digit_histogram_of,
-    fibonacci,
-    generate,
-    idoneal,
-    is_keith,
-    keith,
-    lucky,
-    partition,
-    pentagonal,
-    primes_below,
-    read_values,
-    square_roots,
-    squares,
-    ulam,
-)
+from . import digits, distributions, fitting, reference, sampling, sequences
+from .digits import *
+from .distributions import *
+from .fitting import *
+from .reference import *
+from .sampling import *
+from .sequences import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DigitHistogram", "first_digit_int", "first_digit_real", "histogram",
-    "histogram_from_percentages",
-    "Benford", "TSPB", "PB", "ModelParams", "benford_pmf", "tspb_pmf",
-    "pb_pmf", "pmf_vector", "benford_vector", "tspb_vector", "pb_vector",
-    "pb_truncation_deficit", "adaptive_truncation", "chi_square_sf",
-    "model_to_dict", "model_from_dict", "model_to_json", "model_from_json",
-    "FitResult", "chi_square_stat", "fit_tspb", "fit_pb", "goodness_of_fit",
-    "SurveyRow", "data_dir", "load_survey", "survey_row",
-    "reconstructed_histogram",
-    "GbmParams", "gbm_char_roots", "sample_tspp", "sample_dp",
-    "first_digit_of_exponent", "empirical_digit_pmf", "VerificationReport",
-    "verification_report",
-    "SequenceSpec", "SEQUENCE_KINDS", "generate", "digit_histogram_of",
-    "squares", "cubes", "square_roots", "primes_below", "pentagonal",
-    "fibonacci", "catalan", "bell", "partition", "lucky", "ulam", "keith",
-    "idoneal", "is_keith", "read_values",
-    "__version__",
-]
+# a public name is exported by listing it in its module's __all__
+__all__ = [name for module in (digits, distributions, fitting, reference,
+                               sampling, sequences)
+           for name in module.__all__] + ["__version__"]

@@ -27,15 +27,9 @@ from .distributions import (
     pb_truncation_deficit,
     pmf_vector,
 )
-from .fitting import FitResult, chi_square_stat, fit_pb, fit_tspb, goodness_of_fit
+from .fitting import FitResult, fit_pb, fit_tspb, goodness_of_fit
 from .reference import load_survey, reconstructed_histogram
-from .sequences import (
-    SEQUENCE_KINDS,
-    SequenceSpec,
-    digit_histogram_of,
-    format_values,
-    generate,
-)
+from .sequences import SequenceSpec, digit_histogram_of, format_values, generate
 from .sampling import verification_report
 
 
@@ -80,9 +74,15 @@ def _build_model(args):
     return law(**params)
 
 
-def _fit_pb(hist, mflag, survey_m=None) -> FitResult:
-    """fit_pb at the truncation --m names.  'adaptive' takes the adaptive
-    truncation of a pilot fit at m = 1000 and refits only above 1000."""
+def _fit(hist, tag, mflag, survey_m=None) -> FitResult:
+    """Fit the law named `tag`; PB at the truncation --m names.  'adaptive'
+    takes the adaptive truncation of a pilot fit at m = 1000 and refits
+    only above 1000."""
+    if tag == "benford":
+        return FitResult(Benford(), *goodness_of_fit(hist, Benford(), 0),
+                         converged=True, evaluations=1)
+    if tag == "tspb":
+        return fit_tspb(hist)
     if mflag != "adaptive":
         return fit_pb(hist, m=_resolve_m(mflag, survey_m))
     pilot = fit_pb(hist, m=1000)
@@ -164,24 +164,13 @@ def _histogram_from_args(args) -> tuple[DigitHistogram, str, int | None]:
         spec = SequenceSpec("custom_file", path=args.file)
         return digit_histogram_of(spec), str(args.file), None
     kind, param_text = args.seq
-    if kind not in SEQUENCE_KINDS:
-        raise UsageError(f"unknown sequence kind {kind!r}; choose from "
-                         f"{', '.join(SEQUENCE_KINDS)}")
     try:
         param = int(param_text)
     except ValueError:
         raise UsageError(f"sequence parameter must be an integer, got "
                          f"{param_text!r}") from None
-    survey_m = None
-    for row in load_survey():
-        if row.kind == kind and row.param == param:
-            survey_m = row.series_m
-            break
-    spec = _sequence_spec(kind, param)
-    try:
-        hist = digit_histogram_of(spec)
-    except Exception as e:
-        raise RuntimeError(f"generating {kind}({param}) failed: {e}") from e
+    hist = digit_histogram_of(_sequence_spec(kind, param))
+    survey_m = {(r.kind, r.param): r.series_m for r in load_survey()}.get((kind, param))
     return hist, f"{kind}({param})", survey_m
 
 
@@ -210,14 +199,7 @@ def cmd_fit(args) -> int:
     hist, label, survey_m = _histogram_from_args(args)
     if hist.sample_size < 1:
         raise UsageError("histogram is empty")
-    if args.model == "benford":
-        chi2 = chi_square_stat(hist, pmf_vector(Benford()))
-        result = FitResult._of(Benford(), chi2, converged=True, evaluations=1)
-    elif args.model == "tspb":
-        result = fit_tspb(hist)
-    else:
-        result = _fit_pb(hist, args.m, survey_m)
-    print(_render_fit(result, label, args.format))
+    print(_render_fit(_fit(hist, args.model, args.m, survey_m), label, args.format))
     return 0
 
 
@@ -242,57 +224,55 @@ def cmd_tables(args) -> int:
     if args.m not in ("adaptive", "survey"):
         _resolve_m(args.m)  # a bad --m is a usage error, not a failure per row
     failed = False
-
     if args.table in ("digits", "both"):
         header = ["sequence", "n", "source"] + [f"pct{d}" for d in range(1, 10)]
-        out_rows = []
-        for row in rows:
-            try:
-                hist = _row_histogram(row)
-                pcts = [f"{p:.1f}" for p in hist.percentages()]
-                out_rows.append([row.label, row.n, row.source] + pcts)
-            except Exception as e:
-                failed = True
-                out_rows.append([row.label, row.n, row.source, f"error: {e}"]
-                                + [""] * 8)
-        _emit_table(header, out_rows, args.format)
-
+        failed |= _survey_table(rows, header, _digit_cells, args)
     if args.table in ("fits", "both"):
         if args.table == "both":
             print()
-        header = ["sequence", "n", "source",
-                  "benford_chi2", "benford_p",
-                  "tspb_c", "tspb_chi2", "tspb_p",
-                  "pb_alpha", "pb_beta", "pb_m", "pb_chi2", "pb_p"]
-        out_rows = []
-        for row in rows:
-            try:
-                out_rows.append(_fit_row(row, args))
-            except Exception as e:
-                failed = True
-                out_rows.append([row.label, row.n, row.source, f"error: {e}"]
-                                + [""] * 9)
-        _emit_table(header, out_rows, args.format)
-
+        header = ["sequence", "n", "source"] + [
+            f"{tag}_{name}" for tag, law in _LAWS.items()
+            for name in [f.name for f in fields(law)] + ["chi2", "p"]]
+        failed |= _survey_table(rows, header, _fit_cells, args)
     return 1 if failed else 0
 
 
-def _fit_row(row, args) -> list:
+def _survey_table(rows, header, cells, args) -> bool:
+    """Print one line per survey row: its label, n and source, then
+    cells(row, args), or the error that raised.  Returns whether any row
+    failed."""
+    out_rows = []
+    failed = False
+    for row in rows:
+        try:
+            tail = cells(row, args)
+        except Exception as e:
+            failed = True
+            tail = [f"error: {e}"] + [""] * (len(header) - 4)
+        out_rows.append([row.label, row.n, row.source] + tail)
+    _emit_table(header, out_rows, args.format)
+    return failed
+
+
+def _digit_cells(row, args) -> list:
+    return [f"{p:.1f}" for p in _row_histogram(row).percentages()]
+
+
+def _fit_cells(row, args) -> list:
+    """Each law's parameters, chi-square and p-value: full precision in
+    CSV, rounded (p in percent) in markdown."""
     hist = _row_histogram(row)
-    b_chi2, _, b_p = goodness_of_fit(hist, Benford(), 0)
-    t = fit_tspb(hist)
-    p = _fit_pb(hist, args.m, row.series_m)
-    if args.format == "csv":
-        return [row.label, row.n, row.source,
-                repr(b_chi2), repr(b_p),
-                repr(t.model.c), repr(t.chi_square), repr(t.p_value),
-                repr(p.model.alpha), repr(p.model.beta), p.model.m,
-                repr(p.chi_square), repr(p.p_value)]
-    return [row.label, row.n, row.source,
-            f"{b_chi2:.3f}", f"{100 * b_p:.2f}",
-            f"{t.model.c:.5f}", f"{t.chi_square:.3f}", f"{100 * t.p_value:.2f}",
-            f"{p.model.alpha:.5f}", f"{p.model.beta:.5f}", p.model.m,
-            f"{p.chi_square:.3f}", f"{100 * p.p_value:.2f}"]
+    cells = []
+    for tag in _LAWS:
+        r = _fit(hist, tag, args.m, row.series_m)
+        params = [getattr(r.model, f.name) for f in fields(r.model)]
+        if args.format == "csv":
+            cells += [v if isinstance(v, int) else repr(v) for v in params]
+            cells += [repr(r.chi_square), repr(r.p_value)]
+        else:
+            cells += [v if isinstance(v, int) else f"{v:.5f}" for v in params]
+            cells += [f"{r.chi_square:.3f}", f"{100 * r.p_value:.2f}"]
+    return cells
 
 
 def _emit_table(header, rows, fmt):
@@ -336,11 +316,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_seq(args) -> int:
-    if args.kind not in SEQUENCE_KINDS or args.kind == "custom_file":
-        raise UsageError(f"cannot export sequence kind {args.kind!r}")
-    if args.kind != "idoneal" and args.param is None:
-        raise UsageError("--param is required for this sequence kind")
-    spec = _sequence_spec(args.kind, args.param or 0)
+    if args.kind == "custom_file":
+        raise UsageError("cannot export sequence kind 'custom_file'")
+    spec = _sequence_spec(args.kind, args.param)
     text = format_values(generate(spec))
     if args.out:
         with open(args.out, "w") as fh:
@@ -407,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("seq", help="export a generated sequence")
     p.add_argument("--kind", required=True)
-    p.add_argument("--param", type=int)
+    p.add_argument("--param", type=int, default=0)
     p.add_argument("--out", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_seq)
 

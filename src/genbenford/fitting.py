@@ -202,7 +202,8 @@ def fit_tspb(hist: DigitHistogram) -> FitResult:
 def _pb_objective(hist: DigitHistogram, m: int):
     """The batched objective, (K, 2) points in (log alpha, log beta) -> K
     chi-squares: alpha and beta capped, a non-finite chi-square (from an
-    underflowed or invalid pmf) mapped to 1e300."""
+    underflowed or invalid pmf) or a negative cell (from rounding where
+    the series is not valid, alpha far below 0.05) mapped to 1e300."""
     counts = np.asarray(hist.counts, dtype=float)
     n = hist.sample_size
 
@@ -213,7 +214,7 @@ def _pb_objective(hist: DigitHistogram, m: int):
             # C order, so that a row's sum does not depend on how many rows
             expected = n * np.ascontiguousarray(_pb_probs(a, b, m))
             v = ((counts - expected) ** 2 / expected).sum(axis=1)
-        return np.where(np.isfinite(v), v, 1e300)
+        return np.where(np.isfinite(v) & (expected >= 0).all(axis=1), v, 1e300)
 
     return chi_squares
 

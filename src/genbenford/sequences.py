@@ -60,7 +60,8 @@ class SequenceSpec:
 
     def __post_init__(self):
         if self.kind not in SEQUENCE_KINDS:
-            raise ValueError(f"unknown sequence kind: {self.kind!r}")
+            raise ValueError(f"unknown sequence kind {self.kind!r}; choose "
+                             f"from {', '.join(SEQUENCE_KINDS)}")
         if self.kind == "custom_file":
             if self.path is None:
                 raise ValueError("custom_file needs a path")
@@ -227,33 +228,18 @@ def _load_int_list(filename: str) -> list[int]:
     return values
 
 
-def keith(count: int, search_limit: Optional[int] = None) -> list[int]:
-    """The first `count` Keith numbers from the bundled verified list.
+def keith(count: int) -> list[int]:
+    """The first `count` Keith numbers, from the bundled verified list.
 
-    The bundled list holds every known term (71 entries, up to 19 digits).
-    If `count` exceeds it and `search_limit` is given, the shortfall is
-    searched for exhaustively up to that bound, which is only practical for
-    limits around 1e7.
+    The list holds the 71 Keith numbers below 10^19.  A larger `count`
+    raises ValueError: no search extends the list, since one would start
+    at the 71st, about 6.2e18, and find nothing below 10^19.
     """
     known = _load_int_list("keith.txt")
-    if count <= len(known):
-        return known[:count]
-    if search_limit is None:
-        raise ValueError(
-            f"only {len(known)} Keith numbers are bundled; pass search_limit "
-            "to extend by exhaustive search (slow)"
-        )
-    found = list(known)
-    n = found[-1] + 1 if found else 10
-    while len(found) < count and n < search_limit:
-        if is_keith(n):
-            found.append(n)
-        n += 1
-    if len(found) < count:
-        raise ValueError(
-            f"found only {len(found)} Keith numbers below {search_limit}"
-        )
-    return found[:count]
+    if count > len(known):
+        raise ValueError(f"only {len(known)} Keith numbers are bundled, "
+                         f"got count={count}")
+    return known[:count]
 
 
 def idoneal() -> list[int]:

@@ -304,6 +304,25 @@ class TestExitCodes:
         code, _, _ = run(capsys, "seq", "--kind", "squares", "--param", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--seq", "nosuch", "10", "--model", "benford"),
+        ("seq", "--kind", "nosuch", "--param", "3"),
+        ("seq", "--kind", "custom_file"),
+    ])
+    def test_bad_sequence_kind_is_usage_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "sequence kind" in err
+
+    @pytest.mark.parametrize("m", ["100", "1000", "5000"])
+    def test_degenerate_pb_fit_succeeds(self, capsys, m):
+        # the coarse stage reaches alpha ~ 1e-22, where the series' cells
+        # round to about -3e-32
+        code, out, _ = run(capsys, "fit", "--counts", "1,0,0,0,0,0,0,0,0",
+                           "--model", "pb", "--m", m, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["chi_square"] >= 0
+
     def test_overflowing_c_is_usage_error(self, capsys):
         code, _, err = run(capsys, "pmf", "--model", "tspb", "--c", "1e400")
         assert code == 2

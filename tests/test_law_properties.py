@@ -1,6 +1,7 @@
 """Property tests over generated valid laws: serialization, pmf routing,
-the PB truncation identity, the batched PB formula, the chi-square tail and
-the df convention."""
+the TSPB and PB masses, the batched PB formula, the chi-square tail and
+the df convention; and over generated histograms: their CSV and JSON
+round trips and their rebuild from percentages."""
 import math
 import warnings
 
@@ -20,6 +21,7 @@ from genbenford import (
     chi_square_sf,
     fit_pb,
     fit_tspb,
+    histogram_from_percentages,
     model_from_json,
     model_to_json,
     pb_truncation_deficit,
@@ -59,6 +61,14 @@ def test_json_round_trip(law):
 @given(laws)
 def test_pmf_vector_is_the_laws_own_vector(law):
     assert np.array_equal(pmf_vector(law), OWN_VECTOR[type(law)](law))
+
+
+@fast
+@given(st.floats(0.0, 10.0, exclude_min=True))
+def test_tspb_cells_are_a_pmf(c):
+    cells = tspb_vector(c)
+    assert np.all(cells >= 0)
+    assert abs(math.fsum(cells) - 1.0) <= 1e-14
 
 
 @fast
@@ -111,3 +121,21 @@ def test_fit_df_is_eight_minus_n_params(counts):
     hist = DigitHistogram.from_counts(counts)
     assert fit_tspb(hist).df == 8 - TSPB.n_params == 7
     assert fit_pb(hist, m=10).df == 8 - PB.n_params == 6
+
+
+counts = st.lists(st.integers(0, 10 ** 6), min_size=9, max_size=9).filter(any)
+
+
+@fast
+@given(counts)
+def test_histogram_round_trips_through_csv_and_json(c):
+    hist = DigitHistogram.from_counts(c)
+    assert DigitHistogram.from_csv(hist.to_csv()) == hist
+    assert DigitHistogram.from_json(hist.to_json()) == hist
+
+
+@fast
+@given(counts)
+def test_percentages_rebuild_their_counts(c):
+    n = sum(c)
+    assert list(histogram_from_percentages([100 * k / n for k in c], n).counts) == c

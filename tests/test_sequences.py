@@ -132,8 +132,10 @@ class TestKeith:
             keith(72)
 
     def test_search_fallback_is_bounded(self):
-        with pytest.raises(ValueError):
-            keith(72, search_limit=100)
+        # no search extends the bundle: the next Keith number lies past
+        # 10^19, out of any search's reach
+        with pytest.raises(ValueError, match="only 71"):
+            keith(72)
 
     def test_is_keith_spot_values(self):
         assert is_keith(14) and is_keith(197) and is_keith(7909)
