@@ -1,18 +1,17 @@
 """First significant digits and digit histograms.
 
-Integers take an exact decimal path (no floating point), so arbitrarily
-large values such as the 100th Bell number keep their true leading digit.
-Positive reals go through log10 with a guard for values that land a
-floating-point hair below an exact power of ten.
+One routine, `_first_digits`, reads first digits off the fraction of log10.
+Integers of any size stay exact: the few whose logarithm lands too close to
+a digit edge for log10's rounding error are settled by integer division.
+Positive reals keep a guard for values a hair below an exact power of ten.
 """
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,32 +26,49 @@ __all__ = [
 # log10(d) for d = 1..9: the significand of x has first digit d exactly when
 # frac(log10 x) lies in [log10 d, log10 (d+1)).
 _DIGIT_BOUNDS = [math.log10(d) for d in range(1, 10)]
+_DIGIT_EDGES = np.array(_DIGIT_BOUNDS + [1.0])
 
-# Fractions within this distance of a boundary are rounded up onto it.  In
-# particular frac >= 1 - eps is treated as an exact power of ten (digit 1):
-# log10 of 10**k may evaluate to k - 4e-16*k in floating point.
+# Real fractions within this distance of a boundary are rounded up onto it.
+# In particular frac >= 1 - eps is treated as an exact power of ten (digit
+# 1): log10 of 10**k may evaluate to k - 4e-16*k in floating point.
 _BOUNDARY_EPS = 1e-12
 
 
-def _digit_from_log10_fraction(frac: float) -> int:
-    if frac >= 1.0 - _BOUNDARY_EPS:
-        return 1
-    return bisect_right(_DIGIT_BOUNDS, frac + _BOUNDARY_EPS)
+def _digits_from_log10_fractions(frac: np.ndarray, eps=_BOUNDARY_EPS) -> np.ndarray:
+    """Digits d with log10 d <= frac + eps < log10(d+1); frac >= 1 - eps is 1."""
+    d = np.searchsorted(_DIGIT_BOUNDS, frac + eps, side="right")
+    return np.where(frac >= 1.0 - eps, 1, d)
 
 
-def _digits_from_log10_fractions(frac: np.ndarray) -> np.ndarray:
-    """Vectorized twin of :func:`_digit_from_log10_fraction`."""
-    d = np.searchsorted(_DIGIT_BOUNDS, frac + _BOUNDARY_EPS, side="right")
-    return np.where(frac >= 1.0 - _BOUNDARY_EPS, 1, d)
+def _first_digits(values: list) -> np.ndarray:
+    """First digits of positive ints (exact at any size) and of finite
+    positive reals (through log10 and the guard), in order.  math.log10(n)
+    errs by under 1e-15 * max(x, 1) for x = log10(n); an int whose fraction
+    is nearer than 1e-13 + 1e-14*x to a digit edge is divided down exactly."""
+    try:
+        x = np.fromiter(map(math.log10, values), float, len(values))
+    except ValueError:  # math domain error: a value <= 0
+        x = np.array([math.nan])
+    if not np.isfinite(x).all():
+        raise ValueError("expected positive integers or finite positive reals, got "
+                         f"{next(v for v in values if not 0 < v < math.inf)}")
+    is_int = np.array([isinstance(v, int) for v in values], dtype=bool)
+    frac = x % 1.0
+    digits = _digits_from_log10_fractions(frac, np.where(is_int, 0.0, _BOUNDARY_EPS))
+    edge_gap = np.minimum(frac - _DIGIT_EDGES[digits - 1], _DIGIT_EDGES[digits] - frac)
+    for i in np.flatnonzero(is_int & (edge_gap < 1e-13 + 1e-14 * x)):
+        q = values[i] // 10 ** max(int(x[i]) - 16, 0)
+        while q >= 10:
+            q //= 10
+        digits[i] = q
+    return digits
 
 
 def first_digit_int(n) -> int:
     """Leading decimal digit of a positive integer, computed exactly."""
     if not isinstance(n, Integral):
         raise TypeError(f"expected an integer, got {type(n).__name__}")
-    if n < 1:
-        raise ValueError(f"expected a positive integer, got {n}")
-    return int(str(int(n))[0])
+    return int(_first_digits([int(n)])[0])
 
 
 def first_digit_real(x: float) -> int:
@@ -61,16 +77,7 @@ def first_digit_real(x: float) -> int:
     Computed as floor(10**frac(log10 x)) via boundary comparison in log
     space; values within 1e-12 of an exact power of ten report digit 1.
     """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"expected a finite positive real, got {x}")
-    return _digit_from_log10_fraction(math.log10(x) % 1.0)
-
-
-def _first_digits(values: Iterable) -> Iterator[int]:
-    """First digits of ints (exact) and reals (through log10), in order."""
-    return (first_digit_int(v) if isinstance(v, int) else first_digit_real(v)
-            for v in values)
+    return int(_first_digits([float(x)])[0])
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digits import DigitHistogram, _digit_from_log10_fraction, _digits_from_log10_fractions
+from .digits import DigitHistogram, _digits_from_log10_fractions
 from .distributions import PB, TSPB, Benford, ModelParams, _check_model, pmf_vector
 from .fitting import chi_square_stat
 
@@ -117,7 +117,7 @@ def first_digit_of_exponent(w: float) -> int:
     w = float(w)
     if not math.isfinite(w) or w < 0.0:
         raise ValueError(f"expected a finite non-negative exponent, got {w}")
-    return _digit_from_log10_fraction(w % 1.0)
+    return int(_digits_from_log10_fractions(np.array(w % 1.0)))
 
 
 # law -> draw of its generating exponent W from uniform variates u

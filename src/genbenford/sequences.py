@@ -8,41 +8,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .digits import DigitHistogram, _first_digits, histogram
-from .reference import data_dir
+import numpy as np
 
-__all__ = [
-    "SequenceSpec",
-    "SEQUENCE_KINDS",
-    "generate",
-    "digit_histogram_of",
-    "squares",
-    "cubes",
-    "primes_below",
-    "pentagonal",
-    "fibonacci",
-    "catalan",
-    "bell",
-    "partition",
-    "lucky",
-    "ulam",
-    "keith",
-    "idoneal",
-    "square_roots",
-    "is_keith",
-    "parse_values",
-    "read_values",
-    "format_values",
-]
+from .digits import DigitHistogram, _first_digits
+from .reference import data_dir
 
 SEQUENCE_KINDS = (
     "squares", "cubes", "square_roots", "primes_below", "pentagonal",
     "fibonacci", "catalan", "bell", "partition", "lucky", "ulam", "keith",
     "idoneal", "custom_file",
 )
+
+__all__ = [
+    "SequenceSpec",
+    "SEQUENCE_KINDS",
+    "generate",
+    "digit_histogram_of",
+    *SEQUENCE_KINDS[:-1],  # the generators: every kind but custom_file
+    "is_keith",
+    "parse_values",
+    "read_values",
+    "format_values",
+]
 
 
 @dataclass(frozen=True)
@@ -168,7 +159,7 @@ def lucky(count: int) -> list[int]:
         i = 1
         while i < len(survivors) and survivors[i] <= len(survivors):
             step = survivors[i]
-            survivors = [v for j, v in enumerate(survivors) if (j + 1) % step != 0]
+            del survivors[step - 1::step]
             i += 1
         if len(survivors) >= count:
             return survivors[:count]
@@ -217,17 +208,6 @@ def is_keith(n: int) -> bool:
         window.append(nxt)
 
 
-def _load_int_list(filename: str) -> list[int]:
-    path = data_dir() / filename
-    values = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        values.append(int(line))
-    return values
-
-
 def keith(count: int) -> list[int]:
     """The first `count` Keith numbers, from the bundled verified list.
 
@@ -235,7 +215,7 @@ def keith(count: int) -> list[int]:
     raises ValueError: no search extends the list, since one would start
     at the 71st, about 6.2e18, and find nothing below 10^19.
     """
-    known = _load_int_list("keith.txt")
+    known = read_values(data_dir() / "keith.txt")
     if count > len(known):
         raise ValueError(f"only {len(known)} Keith numbers are bundled, "
                          f"got count={count}")
@@ -244,12 +224,31 @@ def keith(count: int) -> list[int]:
 
 def idoneal() -> list[int]:
     """The 65 known idoneal numbers, from the bundled list."""
-    return _load_int_list("idoneal.txt")
+    return read_values(data_dir() / "idoneal.txt")
 
 
 # ---------------------------------------------------------------------------
 # custom files: one value per line, unbounded decimal integers or reals;
-# blank lines and '#' comments ignored.
+# blank lines and '#' comments ignored.  Python refuses int <-> str
+# conversions past its digit limit (4,300 digits by default), so longer
+# integers are converted in halves.
+
+
+def _int_from_decimal(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the digit limit
+        k = len(digits) // 2
+        return _int_from_decimal(digits[:-k]) * 10 ** k + _int_from_decimal(digits[-k:])
+
+
+def _decimal_from_int(n) -> str:
+    try:
+        return str(n)
+    except ValueError:  # an int past the digit limit
+        k = n.bit_length() * 3 // 20  # under half its digits
+        high, low = divmod(abs(n), 10 ** k)
+        return "-" * (n < 0) + _decimal_from_int(high) + _decimal_from_int(low).zfill(k)
 
 
 def parse_values(text: str) -> list:
@@ -259,7 +258,7 @@ def parse_values(text: str) -> list:
         if not line or line.startswith("#"):
             continue
         try:
-            values.append(int(line))
+            values.append(_int_from_decimal(line) if line.isdecimal() else int(line))
         except ValueError:
             try:
                 values.append(float(line))
@@ -273,7 +272,7 @@ def read_values(path) -> list:
 
 
 def format_values(values) -> str:
-    return "\n".join(str(v) for v in values) + "\n"
+    return "\n".join(map(_decimal_from_int, values)) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +291,13 @@ def generate(spec: SequenceSpec):
     return globals()[spec.kind](spec.param)
 
 
+_HISTOGRAM_CHUNK = 256  # values tallied at a time: no sequence is held whole
+
+
 def digit_histogram_of(spec: SequenceSpec) -> DigitHistogram:
     """Generate the sequence and tally its first digits."""
-    return histogram(_first_digits(generate(spec)))
+    values = iter(generate(spec))
+    counts = np.zeros(10, dtype=np.int64)
+    while chunk := list(islice(values, _HISTOGRAM_CHUNK)):
+        counts += np.bincount(_first_digits(chunk), minlength=10)
+    return DigitHistogram.from_counts(counts[1:])

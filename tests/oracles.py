@@ -1,13 +1,15 @@
 """Independent oracles used by the tests.
 
-Everything here deliberately avoids the package's own algorithms: partition
-counts come from a coin-style DP table instead of the pentagonal recurrence,
-Bell numbers from the binomial convolution instead of the triangle, Keith
-completeness from a vectorized exhaustive search, the 1-D fit check from
-a dense parameter grid instead of bracketing plus golden section, and the PB
-series from the Hurwitz zeta function in mpmath instead of Euler-Maclaurin
-summation in float64.
+Everything here deliberately avoids the package's own algorithms: leading
+digits come from integer comparisons against powers of ten instead of
+log10, partition counts from a coin-style DP table instead of the
+pentagonal recurrence, Bell numbers from the binomial convolution instead
+of the triangle, Keith completeness from a vectorized exhaustive search,
+the 1-D fit check from a dense parameter grid instead of bracketing plus
+golden section, and the PB series from the Hurwitz zeta function in mpmath
+instead of Euler-Maclaurin summation in float64.
 """
+import functools
 import math
 
 import mpmath
@@ -31,6 +33,25 @@ def bell_binomial(n_max):
     for n in range(n_max):
         b.append(sum(math.comb(n, k) * b[k] for k in range(n + 1)))
     return b
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _power_of_ten(k):
+    return 10 ** k
+
+
+def leading_digit(n):
+    """Leading decimal digit of a positive int, with no str() and no log: a
+    binary search by integer comparison for the k with 10^k <= n < 10^(k+1),
+    starting from n < 2^b <= 10^(b//3 + 1) for b bits, then n // 10^k."""
+    lo, hi = 0, n.bit_length() // 3 + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _power_of_ten(mid) <= n:
+            lo = mid
+        else:
+            hi = mid
+    return n // _power_of_ten(lo)
 
 
 def fibonacci_list(count):

@@ -351,12 +351,15 @@ class TestExitCodes:
         assert "terms" in err
 
     def test_huge_integer_in_file_is_failure(self, capsys, tmp_path):
-        # past int()'s digit limit the value is read as float inf: a failed
-        # computation on the file's data, not a bad flag
+        # past Python's 4,300-digit int() limit the value is still read
+        # exactly, and the fit succeeds: one value with digit 7 has Benford
+        # chi-square 1/p7 - 1
         path = tmp_path / "big.txt"
         path.write_text("7" + "0" * 4999 + "\n")
-        code, _, _ = run(capsys, "fit", "--file", str(path), "--model", "benford")
-        assert code == 1
+        code, out, _ = run(capsys, "fit", "--file", str(path), "--model", "benford",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["chi_square"] == pytest.approx(1 / math.log10(8 / 7) - 1)
 
 
 def test_tables_adaptive_m_matches_fit(capsys):

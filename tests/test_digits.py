@@ -2,6 +2,8 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genbenford import (
     DigitHistogram,
@@ -10,7 +12,10 @@ from genbenford import (
     histogram,
     histogram_from_percentages,
 )
-from oracles import fibonacci_list, sieve_primes
+from genbenford.digits import _first_digits
+from oracles import fibonacci_list, leading_digit, sieve_primes
+
+few = settings(max_examples=25, deadline=None, database=None)
 
 
 class TestFirstDigitInt:
@@ -37,6 +42,29 @@ class TestFirstDigitInt:
     def test_rejects_float(self):
         with pytest.raises(TypeError):
             first_digit_int(7.0)
+
+
+class TestExactAtAnySize:
+    @few
+    @given(st.integers(0, 50_000))
+    def test_next_to_digit_edges(self, k):
+        values = [d * 10 ** k + delta for d in range(1, 10) for delta in (-1, 0, 1)]
+        values = [n for n in values if n >= 1]
+        assert [first_digit_int(n) for n in values] == [leading_digit(n) for n in values]
+
+    @few
+    @given(st.integers(1, 170_000), st.randoms(use_true_random=False))
+    def test_random_ints(self, bits, rnd):
+        n = rnd.getrandbits(bits) | 1 << (bits - 1)
+        assert first_digit_int(n) == leading_digit(n)
+
+    def test_mixed_list_matches_the_wrappers_in_order(self):
+        values = [7, 2.5, 10 ** 5000 - 1, 0.007, True, 3 * 10 ** 4400 + 1,
+                  1e300, 999, math.sqrt(50), math.nextafter(1000.0, 0.0)]
+        want = [first_digit_int(v) if isinstance(v, int) else first_digit_real(v)
+                for v in values]
+        assert want == [7, 2, 9, 7, 1, 3, 1, 9, 7, 1]
+        assert _first_digits(values).tolist() == want
 
 
 class TestFirstDigitReal:

@@ -8,12 +8,14 @@ from genbenford import (
     digit_histogram_of,
     fibonacci,
     first_digit_int,
+    format_values,
     generate,
     histogram_from_percentages,
     idoneal,
     is_keith,
     keith,
     lucky,
+    parse_values,
     partition,
     pentagonal,
     primes_below,
@@ -27,6 +29,7 @@ from oracles import (
     bell_binomial,
     fibonacci_list,
     keith_numbers_below,
+    leading_digit,
     partitions_dp,
     sieve_primes,
 )
@@ -184,6 +187,13 @@ class TestDigitHistogramOf:
         h = digit_histogram_of(SequenceSpec(kind, param))
         assert h.counts == survey_counts(key)
 
+    def test_fibonacci_past_the_str_limit_matches_oracle(self):
+        # F(20571) on has more than 4,300 digits, past Python's int->str limit
+        counts = [0] * 9
+        for v in fibonacci_list(21000):
+            counts[leading_digit(v) - 1] += 1
+        assert digit_histogram_of(SequenceSpec("fibonacci", 21000)).counts == tuple(counts)
+
     def test_bell_row_differs_from_true_bell_numbers(self):
         # the surveyed Bell percentages are not reproducible from any
         # contiguous window of true Bell numbers; the generator is the
@@ -237,6 +247,16 @@ class TestSpecAndCustomFiles:
         assert values == [354224848179261915075, 7.0710678, 97]
         h = digit_histogram_of(SequenceSpec("custom_file", path=path))
         assert h.counts == (0, 0, 1, 0, 0, 0, 1, 0, 1)
+
+    def test_integers_past_the_str_limit_round_trip(self):
+        # every 20th term and the last keep the test short and still span
+        # sizes from one digit to the 4,389 of F(21000), 22 of them past the
+        # 4,300-digit limit
+        fib = list(fibonacci(21000))
+        values = fib[::20] + fib[-1:]
+        assert parse_values(format_values(values)) == values
+        assert format_values([10 ** 5000]) == "1" + "0" * 5000 + "\n"
+        assert parse_values("7" + "0" * 4999) == [7 * 10 ** 4999]
 
     def test_custom_file_rejects_junk(self, tmp_path):
         path = tmp_path / "bad.txt"
