@@ -9,7 +9,7 @@ sequence gets long.
 """
 from genbenford import (
     Benford,
-    DigitHistogram,
+    SequenceSpec,
     digit_histogram_of,
     fit_pb,
     fit_tspb,
@@ -42,17 +42,7 @@ for row in load_survey():
 print()
 print("The large-prime breakdown:")
 
-counts = [0] * 9
-sieve = bytearray(b"\x01") * 1_000_000
-sieve[:2] = b"\x00\x00"
-for i in range(2, 1000):
-    if sieve[i]:
-        sieve[i * i::i] = b"\x00" * len(range(i * i, 1_000_000, i))
-for n in range(2, 1_000_000):
-    if sieve[n]:
-        counts[int(str(n)[0]) - 1] += 1
-
-hist = DigitHistogram.from_counts(counts)
+hist = digit_histogram_of(SequenceSpec("primes_below", 1_000_000))
 fit = fit_pb(hist, m=100)
 print(f"  primes below 1e6 (n = {hist.sample_size:,}): minimized PB chi2 = "
       f"{fit.chi_square:.1f}, p = {fit.p_value:.2e}")

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from .digits import DigitHistogram
 from .distributions import (
     _LAWS,
-    _M_LIMIT,
     PB,
     Benford,
     adaptive_truncation,
@@ -37,13 +35,19 @@ class UsageError(Exception):
     pass
 
 
-def _positive_float(name, value):
+def _required(name, value):
     if value is None:
         raise UsageError(f"--{name} is required for this model")
-    v = float(value)
-    if not (math.isfinite(v) and v > 0):
-        raise UsageError(f"--{name} must be a finite real > 0, got {value}")
-    return v
+    return value
+
+
+def _law(law, **params):
+    """law(**params) under the law's own check, whose ValueError begins with
+    the name of the rejected field: the flag of that name set it."""
+    try:
+        return law(**params)
+    except ValueError as e:
+        raise UsageError(f"--{e}") from None
 
 
 def _resolve_m(mflag, survey_m=None):
@@ -59,19 +63,18 @@ def _resolve_m(mflag, survey_m=None):
     except (TypeError, ValueError):
         raise UsageError(f"--m must be an integer, 'adaptive' or 'survey', "
                          f"got {mflag!r}") from None
-    if not 1 <= m < _M_LIMIT:
-        raise UsageError(f"--m must be in [1, 2**1024), got {mflag}")
-    return m
+    return _law(PB, alpha=1.0, beta=1.0, m=m).m
 
 
 def _build_model(args):
     law = _LAWS[args.model]
-    params = {f.name: _positive_float(f.name, getattr(args, f.name))
-              for f in fields(law) if f.name != "m"}
+    model = _law(law, **{f.name: _required(f.name, getattr(args, f.name))
+                         for f in fields(law) if f.name != "m"})
     if law is PB:
-        params["m"] = (adaptive_truncation(params["alpha"], params["beta"])
-                       if args.m == "adaptive" else _resolve_m(args.m))
-    return law(**params)
+        m = (adaptive_truncation(model.alpha, model.beta) if args.m == "adaptive"
+             else _resolve_m(args.m))
+        model = replace(model, m=m)
+    return model
 
 
 def _fit(hist, tag, mflag, survey_m=None) -> FitResult:
@@ -103,14 +106,9 @@ def _parse_counts(text) -> DigitHistogram:
         raise UsageError(f"--counts needs 9 comma-separated integers, got "
                          f"{len(fields)}")
     try:
-        counts = [int(f) for f in fields]
-    except ValueError:
-        raise UsageError(f"--counts must be integers: {text!r}") from None
-    if any(c < 0 for c in counts):
-        raise UsageError("--counts must be non-negative")
-    if sum(counts) < 1:
-        raise UsageError("--counts must total at least 1 observation")
-    return DigitHistogram.from_counts(counts)
+        return DigitHistogram.from_counts([int(f) for f in fields])
+    except ValueError as e:  # a field that is not an integer, or a negative count
+        raise UsageError(f"--counts: {e}") from None
 
 
 def _markdown_table(header, rows):
@@ -169,9 +167,10 @@ def _histogram_from_args(args) -> tuple[DigitHistogram, str, int | None]:
     except ValueError:
         raise UsageError(f"sequence parameter must be an integer, got "
                          f"{param_text!r}") from None
-    hist = digit_histogram_of(_sequence_spec(kind, param))
-    survey_m = {(r.kind, r.param): r.series_m for r in load_survey()}.get((kind, param))
-    return hist, f"{kind}({param})", survey_m
+    spec = _sequence_spec(kind, param)
+    key = (spec.kind, spec.param)
+    survey_m = {(r.kind, r.param): r.series_m for r in load_survey()}.get(key)
+    return digit_histogram_of(spec), f"{spec.kind}({spec.param})", survey_m
 
 
 def _render_fit(result: FitResult, label: str, fmt: str) -> str:
@@ -198,7 +197,8 @@ def _render_fit(result: FitResult, label: str, fmt: str) -> str:
 def cmd_fit(args) -> int:
     hist, label, survey_m = _histogram_from_args(args)
     if hist.sample_size < 1:
-        raise UsageError("histogram is empty")
+        flag = next(f for f in ("counts", "file", "seq") if getattr(args, f) is not None)
+        raise UsageError(f"histogram is empty: --{flag} gives no values")
     print(_render_fit(_fit(hist, args.model, args.m, survey_m), label, args.format))
     return 0
 

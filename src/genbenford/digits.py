@@ -64,6 +64,13 @@ def _first_digits(values: list) -> np.ndarray:
     return digits
 
 
+def _check_digit(d) -> int:
+    di = int(d)
+    if di != d or not 1 <= di <= 9:
+        raise ValueError(f"digit out of range 1..9: {d!r}")
+    return di
+
+
 def first_digit_int(n) -> int:
     """Leading decimal digit of a positive integer, computed exactly."""
     if not isinstance(n, Integral):
@@ -149,10 +156,7 @@ def histogram(digits: Iterable[int]) -> DigitHistogram:
     """Tally a stream of first digits 1..9 into a histogram."""
     counts = [0] * 9
     for d in digits:
-        di = int(d)
-        if di != d or not 1 <= di <= 9:
-            raise ValueError(f"digit out of range 1..9: {d!r}")
-        counts[di - 1] += 1
+        counts[_check_digit(d) - 1] += 1
     return DigitHistogram.from_counts(counts)
 
 
@@ -180,15 +184,12 @@ def histogram_from_percentages(pct: Sequence[float], n: int) -> DigitHistogram:
             f"percentages are inconsistent with n={n}: "
             f"rounded counts are off by {-deficit}"
         )
+    # move one count per digit toward n, first where rounding moved furthest away
+    step = 1 if deficit > 0 else -1
     counts = list(base)
-    if deficit > 0:
-        order = sorted(range(9), key=lambda i: (base[i] - raw[i], i))
-        for i in order[:deficit]:
-            counts[i] += 1
-    elif deficit < 0:
-        order = sorted(range(9), key=lambda i: (raw[i] - base[i], i))
-        for i in order[:-deficit]:
-            counts[i] -= 1
-            if counts[i] < 0:
-                raise ValueError("percentages are inconsistent with n")
+    order = sorted(range(9), key=lambda i: (step * (base[i] - raw[i]), i))
+    for i in order[:abs(deficit)]:
+        counts[i] += step
+        if counts[i] < 0:
+            raise ValueError("percentages are inconsistent with n")
     return DigitHistogram.from_counts(counts)

@@ -24,6 +24,9 @@ term differenced between adjacent digits inside the term.  It agrees with
 the Hurwitz zeta form zeta(a, 1 + log d) - zeta(a, m + 1 + log d)
 (DLMF 25.11) to 1e-12 relative per digit for a in [0.05, 1e9] and every
 m, which is float64 precision for the pmf.
+
+Each law's __post_init__ is the one check of its parameters: the functions
+here, the samplers and the CLI construct the law to check theirs.
 """
 from __future__ import annotations
 
@@ -35,6 +38,8 @@ from functools import lru_cache
 from typing import ClassVar, Union, get_args
 
 import numpy as np
+
+from .digits import _check_digit
 
 __all__ = [
     "Benford",
@@ -108,7 +113,8 @@ class TSPB:
             raise ValueError(f"c must be a positive real, got {self.c}")
 
     def pmf(self) -> np.ndarray:
-        return tspb_vector(self.c)
+        lo, hi, c = _L10[:9], _L10[1:], self.c
+        return 0.5 * (hi ** c - lo ** c - (1.0 - hi) ** c + (1.0 - lo) ** c)
 
 
 @dataclass(frozen=True)
@@ -133,7 +139,7 @@ class PB:
         object.__setattr__(self, "m", int(self.m))
 
     def pmf(self) -> np.ndarray:
-        return pb_vector(self.alpha, self.beta, self.m)
+        return _pb_probs(self.alpha, self.beta, self.m)
 
 
 ModelParams = Union[Benford, TSPB, PB]
@@ -174,13 +180,6 @@ def model_from_json(text: str) -> ModelParams:
 # pmf evaluation
 
 
-def _check_digit(d) -> int:
-    di = int(d)
-    if di != d or not 1 <= di <= 9:
-        raise ValueError(f"digit out of range 1..9: {d!r}")
-    return di
-
-
 def benford_vector() -> np.ndarray:
     return _L10[1:] - _L10[:9]
 
@@ -192,10 +191,7 @@ def benford_pmf(d: int) -> float:
 
 
 def tspb_vector(c: float) -> np.ndarray:
-    if not (math.isfinite(c) and c > 0):
-        raise ValueError(f"c must be a positive real, got {c}")
-    lo, hi = _L10[:9], _L10[1:]
-    return 0.5 * (hi ** c - lo ** c - (1.0 - hi) ** c + (1.0 - lo) ** c)
+    return TSPB(c).pmf()
 
 
 def tspb_pmf(d: int, c: float) -> float:
@@ -291,8 +287,7 @@ def _pb_probs(a, b, m: int) -> np.ndarray:
 
 
 def pb_vector(alpha: float, beta: float, m: int = 1000) -> np.ndarray:
-    model = PB(alpha, beta, m)  # validates
-    return _pb_probs(model.alpha, model.beta, model.m)
+    return PB(alpha, beta, m).pmf()
 
 
 def pb_pmf(d: int, alpha: float, beta: float, m: int = 1000) -> float:
@@ -303,20 +298,18 @@ def pb_pmf(d: int, alpha: float, beta: float, m: int = 1000) -> float:
 def pb_truncation_deficit(alpha: float, beta: float, m: int) -> float:
     """Total mass lost to truncating the PB series at m:
     beta/(alpha+beta) * (m+1)^-alpha."""
-    if alpha <= 0 or beta <= 0 or not 1 <= m < _M_LIMIT:
-        raise ValueError("alpha, beta must be > 0 and 1 <= m < 2**1024")
+    m = PB(alpha, beta, m).m  # the law's own check
     return beta / (alpha + beta) * float(m + 1) ** (-alpha)
 
 
 def adaptive_truncation(alpha: float, beta: float, tol: float = 1e-10) -> int:
     """Smallest truncation index whose mass deficit drops below tol."""
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha, beta must be > 0")
-    if tol <= 0:
+    PB(alpha, beta)  # the law's own check of alpha and beta
+    if not tol > 0:
         raise ValueError("tol must be > 0")
-    # deficit < tol  <=>  m + 1 > (beta / ((alpha+beta) tol))^(1/alpha)
+    # deficit < tol  <=>  m + 1 > (beta / (alpha+beta) / tol)^(1/alpha)
     try:
-        bound = (beta / ((alpha + beta) * tol)) ** (1.0 / alpha)
+        bound = (beta / (alpha + beta) / tol) ** (1.0 / alpha)
     except OverflowError:
         bound = math.inf
     if not bound < _TRUNCATION_LIMIT:

@@ -86,8 +86,7 @@ def sample_tspp(alpha: float, c: float, u):
     """
     if not (0.0 < alpha < 2.0):
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
-    if not (math.isfinite(c) and c > 0):
-        raise ValueError(f"c must be a positive real, got {c}")
+    TSPB(c)  # the law's own check of c
     scalar_in = np.isscalar(u) or getattr(u, "ndim", 1) == 0
     arr = _as_unit_interval(u)
     lower = alpha * (2.0 * arr / alpha) ** (1.0 / c)
@@ -99,10 +98,7 @@ def sample_dp(alpha: float, beta: float, u):
     """Inverse-CDF draw from the double Pareto law DP(1, alpha, beta):
     density ~ w^(beta-1) below 1 and w^(-alpha-1) above 1, with
     P(W <= 1) = alpha / (alpha + beta)."""
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be a positive real, got {alpha}")
-    if not (math.isfinite(beta) and beta > 0):
-        raise ValueError(f"beta must be a positive real, got {beta}")
+    PB(alpha, beta)  # the law's own check of alpha and beta
     scalar_in = np.isscalar(u) or getattr(u, "ndim", 1) == 0
     arr = _as_unit_interval(u)
     split = alpha / (alpha + beta)

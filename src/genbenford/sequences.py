@@ -22,6 +22,7 @@ SEQUENCE_KINDS = (
     "fibonacci", "catalan", "bell", "partition", "lucky", "ulam", "keith",
     "idoneal", "custom_file",
 )
+_IDONEAL_COUNT = 65  # the numbers in data/idoneal.txt
 
 __all__ = [
     "SequenceSpec",
@@ -41,8 +42,8 @@ class SequenceSpec:
     """Which sequence to generate: a kind plus its count or upper bound.
 
     `param` counts terms for most kinds and is an exclusive upper bound for
-    primes_below; idoneal ignores it (the list is fixed).  custom_file reads
-    values from `path` instead.
+    primes_below.  idoneal takes 0 or 65, both meaning the 65 bundled
+    numbers, and stores 65.  custom_file reads values from `path` instead.
     """
 
     kind: str
@@ -56,7 +57,12 @@ class SequenceSpec:
         if self.kind == "custom_file":
             if self.path is None:
                 raise ValueError("custom_file needs a path")
-        elif self.kind != "idoneal" and self.param < 1:
+        elif self.kind == "idoneal":
+            if self.param not in (0, _IDONEAL_COUNT):
+                raise ValueError(f"param must be 0 or {_IDONEAL_COUNT} for idoneal, "
+                                 f"got {self.param}")
+            object.__setattr__(self, "param", _IDONEAL_COUNT)
+        elif self.param < 1:
             raise ValueError(f"param must be >= 1 for {self.kind}")
 
 

@@ -339,6 +339,13 @@ class TestExitCodes:
         assert code == 2
         assert "--m" in err
 
+    @pytest.mark.parametrize("counts", ["1,2,3,4,5,6,7,8,-1", "0,0,0,0,0,0,0,0,0",
+                                        "1,2,3,4,5,6,7,8,x"])
+    def test_bad_counts_name_the_flag(self, capsys, counts):
+        code, _, err = run(capsys, "fit", "--counts", counts, "--model", "benford")
+        assert code == 2
+        assert "--counts" in err
+
     def test_negative_seed_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "--model", "benford", "--n", "1000",
                          "--seed", "-1")
@@ -373,3 +380,35 @@ def test_tables_adaptive_m_matches_fit(capsys):
     fit = json.loads(out)
     assert row["pb_m"] == str(fit["model"]["m"])
     assert row["pb_chi2"] == repr(fit["chi_square"])
+
+
+class TestIdoneal:
+    """The 65 bundled idoneal numbers are fitted as idoneal(65), whether
+    asked for as 0 or 65; any other count is a bad flag value."""
+
+    def test_survey_fit_names_what_was_fitted(self, capsys):
+        code, out, _ = run(capsys, "fit", "--seq", "idoneal", "65", "--model", "pb",
+                           "--m", "survey", "--format", "json")
+        assert code == 0
+        fit = json.loads(out)
+        assert fit["source"] == "idoneal(65)"
+        assert fit["model"]["m"] == 100
+
+    def test_zero_fits_the_same_65_values(self, capsys):
+        _, all65, _ = run(capsys, "fit", "--seq", "idoneal", "65", "--model", "benford",
+                          "--format", "json")
+        code, out, _ = run(capsys, "fit", "--seq", "idoneal", "0", "--model", "benford",
+                           "--format", "json")
+        assert code == 0
+        assert out == all65
+
+    @pytest.mark.parametrize("n", ["5", "64", "66", "-1"])
+    def test_other_counts_are_usage_errors(self, capsys, n):
+        code, _, err = run(capsys, "fit", "--seq", "idoneal", n, "--model", "benford")
+        assert code == 2
+        assert "idoneal" in err
+
+    def test_negative_seq_param_is_usage_error(self, capsys):
+        code, out, _ = run(capsys, "seq", "--kind", "idoneal", "--param", "-5")
+        assert code == 2
+        assert out == ""

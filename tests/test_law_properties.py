@@ -1,7 +1,7 @@
 """Property tests over generated valid laws: serialization, pmf routing,
-the TSPB and PB masses, the batched PB formula, the chi-square tail and
-the df convention; and over generated histograms: their CSV and JSON
-round trips and their rebuild from percentages."""
+the TSPB and PB masses, the batched PB formula, the exponent samplers, the
+chi-square tail and the df convention; and over generated histograms:
+their CSV and JSON round trips and their rebuild from percentages."""
 import math
 import warnings
 
@@ -27,6 +27,8 @@ from genbenford import (
     pb_truncation_deficit,
     pb_vector,
     pmf_vector,
+    sample_dp,
+    sample_tspp,
     tspb_vector,
 )
 
@@ -103,6 +105,37 @@ def test_batched_pb_formula_rows_are_the_scalar_formula(params, m):
     assert rows.shape == (len(params), 9)
     for row, (ak, bk) in zip(rows, params):
         np.testing.assert_allclose(row, dist._pb_probs(ak, bk, m), rtol=1e-14, atol=0)
+
+
+# uniform variates, sorted, with both ends of [0, 1)
+variates = st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=50).map(
+    lambda u: np.array(sorted(u + [0.0, 0.5, np.nextafter(1.0, 0.0)])))
+
+
+def _inner(w, u):
+    """The draws for u in [0.01, 0.99], where neither end of the support
+    is within rounding of a draw at these shapes."""
+    return w[(u >= 0.01) & (u <= 0.99)]
+
+
+@fast
+@given(st.floats(0.05, 1.95), st.floats(math.log(0.5), math.log(20.0)).map(math.exp),
+       variates)
+def test_tspp_sampler_is_monotone_in_u_and_stays_in_0_2(mode, c, u):
+    w = sample_tspp(mode, c, u)
+    assert np.all(w[1:] >= w[:-1])
+    assert np.all((w >= 0) & (w <= 2))
+    assert np.all((_inner(w, u) > 0) & (_inner(w, u) < 2))
+
+
+@fast
+@given(positive, positive, variates)
+def test_dp_sampler_is_monotone_in_u_and_stays_positive(alpha, beta, u):
+    with np.errstate(over="ignore"):  # u within 1e-16 of 1 may draw inf
+        w = sample_dp(alpha, beta, u)
+    assert np.all(w[1:] >= w[:-1])
+    assert np.all(w >= 0)
+    assert np.all((_inner(w, u) > 0) & np.isfinite(_inner(w, u)))
 
 
 @settings(max_examples=150, deadline=None, database=None)

@@ -162,6 +162,16 @@ class TestIdoneal:
         h = digit_histogram_of(SequenceSpec("idoneal"))
         assert h.sample_size == 65
 
+    def test_param_is_zero_or_the_bundled_count(self):
+        # 0 and 65 both name the 65 bundled numbers, and the spec says 65
+        for param in (0, 65):
+            spec = SequenceSpec("idoneal", param)
+            assert spec.param == 65
+            assert list(generate(spec)) == idoneal()
+        for param in (-5, 1, 64, 66):
+            with pytest.raises(ValueError, match="param must be 0 or 65 for idoneal"):
+                SequenceSpec("idoneal", param)
+
 
 class TestDigitHistogramOf:
     def test_squares_100_matches_survey_row_exactly(self):
