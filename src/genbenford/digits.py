@@ -23,10 +23,10 @@ __all__ = [
     "histogram_from_percentages",
 ]
 
-# log10(d) for d = 1..9: the significand of x has first digit d exactly when
+# log10(d) for d = 1..10: the significand of x has first digit d exactly when
 # frac(log10 x) lies in [log10 d, log10 (d+1)).
-_DIGIT_BOUNDS = [math.log10(d) for d in range(1, 10)]
-_DIGIT_EDGES = np.array(_DIGIT_BOUNDS + [1.0])
+_DIGIT_EDGES = np.array([math.log10(d) for d in range(1, 11)])
+_DIGIT_BOUNDS = _DIGIT_EDGES[:-1]
 
 # Real fractions within this distance of a boundary are rounded up onto it.
 # In particular frac >= 1 - eps is treated as an exact power of ten (digit
@@ -42,9 +42,10 @@ def _digits_from_log10_fractions(frac: np.ndarray, eps=_BOUNDARY_EPS) -> np.ndar
 
 def _first_digits(values: list) -> np.ndarray:
     """First digits of positive ints (exact at any size) and of finite
-    positive reals (through log10 and the guard), in order.  math.log10(n)
-    errs by under 1e-15 * max(x, 1) for x = log10(n); an int whose fraction
-    is nearer than 1e-13 + 1e-14*x to a digit edge is divided down exactly."""
+    positive reals, in order, read off the log10 fraction with no guard.  A
+    value within max(2e-12, 1e-13 + 1e-14*x) of a digit edge, x = log10 of
+    it, is settled by type: an int (log10 errs by under 1e-15 * max(x, 1))
+    is divided down exactly, a real (any the guard could move) is guarded."""
     try:
         x = np.fromiter(map(math.log10, values), float, len(values))
     except ValueError:  # math domain error: a value <= 0
@@ -52,15 +53,18 @@ def _first_digits(values: list) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError("expected positive integers or finite positive reals, got "
                          f"{next(v for v in values if not 0 < v < math.inf)}")
-    is_int = np.array([isinstance(v, int) for v in values], dtype=bool)
     frac = x % 1.0
-    digits = _digits_from_log10_fractions(frac, np.where(is_int, 0.0, _BOUNDARY_EPS))
+    digits = _digits_from_log10_fractions(frac, 0.0)
     edge_gap = np.minimum(frac - _DIGIT_EDGES[digits - 1], _DIGIT_EDGES[digits] - frac)
-    for i in np.flatnonzero(is_int & (edge_gap < 1e-13 + 1e-14 * x)):
-        q = values[i] // 10 ** max(int(x[i]) - 16, 0)
-        while q >= 10:
-            q //= 10
-        digits[i] = q
+    for i in np.flatnonzero(edge_gap < np.maximum(2e-12, 1e-13 + 1e-14 * x)):
+        v = values[i]
+        if isinstance(v, int):
+            q = v // 10 ** max(int(x[i]) - 16, 0)
+            while q >= 10:
+                q //= 10
+            digits[i] = q
+        else:
+            digits[i] = _digits_from_log10_fractions(frac[i])
     return digits
 
 

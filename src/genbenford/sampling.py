@@ -101,10 +101,11 @@ def sample_dp(alpha: float, beta: float, u):
     PB(alpha, beta)  # the law's own check of alpha and beta
     scalar_in = np.isscalar(u) or getattr(u, "ndim", 1) == 0
     arr = _as_unit_interval(u)
-    split = alpha / (alpha + beta)
-    lower = ((alpha + beta) * arr / alpha) ** (1.0 / beta)
+    # 1 + beta/alpha, not (alpha + beta)/alpha: the sum may overflow
+    split = 1.0 / (1.0 + beta / alpha)
+    lower = ((1.0 + beta / alpha) * arr) ** (1.0 / beta)
     with np.errstate(divide="ignore"):
-        upper = ((alpha + beta) * (1.0 - arr) / beta) ** (-1.0 / alpha)
+        upper = ((1.0 + alpha / beta) * (1.0 - arr)) ** (-1.0 / alpha)
     return _maybe_scalar(np.where(arr < split, lower, upper), scalar_in)
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -23,6 +23,7 @@ SEQUENCE_KINDS = (
     "idoneal", "custom_file",
 )
 _IDONEAL_COUNT = 65  # the numbers in data/idoneal.txt
+_KEITH_COUNT = 71  # the numbers in data/keith.txt
 
 __all__ = [
     "SequenceSpec",
@@ -41,9 +42,9 @@ __all__ = [
 class SequenceSpec:
     """Which sequence to generate: a kind plus its count or upper bound.
 
-    `param` counts terms for most kinds and is an exclusive upper bound for
-    primes_below.  idoneal takes 0 or 65, both meaning the 65 bundled
-    numbers, and stores 65.  custom_file reads values from `path` instead.
+    `param` counts terms (keith: 1..71, the bundled numbers) and is an
+    exclusive upper bound for primes_below.  idoneal takes 0 or 65, both
+    meaning the 65 bundled numbers, and stores 65; custom_file reads `path`.
     """
 
     kind: str
@@ -64,6 +65,9 @@ class SequenceSpec:
             object.__setattr__(self, "param", _IDONEAL_COUNT)
         elif self.param < 1:
             raise ValueError(f"param must be >= 1 for {self.kind}")
+        elif self.kind == "keith" and self.param > _KEITH_COUNT:
+            raise ValueError(f"only {_KEITH_COUNT} Keith numbers are bundled, "
+                             f"got param={self.param}")
 
 
 def squares(count: int) -> Iterator[int]:
@@ -87,16 +91,19 @@ def square_roots(count: int) -> Iterator[float]:
 
 
 def primes_below(bound: int) -> list[int]:
-    """All primes < bound, by sieve of Eratosthenes."""
-    if bound < 2:
+    """All primes < bound, by a sieve of Eratosthenes over the odd numbers:
+    sieve[i] stands for 2i + 1, and 2 is prepended."""
+    if bound < 3:
         return []
-    sieve = bytearray(b"\x01") * bound
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(bound - 1) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start::p] = b"\x00" * len(range(start, bound, p))
-    return [i for i in range(bound) if sieve[i]]
+    size = bound // 2
+    sieve = bytearray(b"\x01") * size
+    sieve[0] = 0  # 1 is not prime
+    for i in range(1, (math.isqrt(bound - 1) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            sieve[start::p] = bytes(len(range(start, size, p)))
+    return [2, *compress(range(1, bound, 2), sieve)]
 
 
 def fibonacci(count: int) -> Iterator[int]:
@@ -157,8 +164,7 @@ def partition(count: int) -> Iterator[int]:
 
 def lucky(count: int) -> list[int]:
     """The first `count` lucky numbers 1, 3, 7, 9, 13, ... by the lucky sieve."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    SequenceSpec("lucky", count)  # the spec's own check of count
     limit = max(200, 30 * count)
     while True:
         survivors = list(range(1, limit, 2))
@@ -176,27 +182,23 @@ def ulam(count: int) -> list[int]:
     """The first `count` terms of the (1,2)-Ulam sequence.
 
     A term is the smallest integer larger than the last that is the sum of
-    two distinct earlier terms in exactly one way.
+    two distinct earlier terms in exactly one way.  reps[s] counts such sums
+    (capped at 2), and u_n + u_{n-1} has one, so u_{n+1} <= u_n + u_{n-1}.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    terms = [1, 2]
-    seen = {1, 2}
-    candidate = 2
-    while len(terms) < count:
-        candidate += 1
-        reps = 0
-        for t in terms:
-            if 2 * t >= candidate:
-                break
-            if (candidate - t) in seen:
-                reps += 1
-                if reps > 1:
-                    break
-        if reps == 1:
-            terms.append(candidate)
-            seen.add(candidate)
-    return terms[:count]
+    SequenceSpec("ulam", count)  # the spec's own check of count
+    terms = np.zeros(max(count, 2), dtype=np.int64)
+    terms[:2] = 1, 2
+    reps = np.zeros(64, dtype=np.int8)
+    reps[3] = 1
+    for n in range(2, count):
+        last = int(terms[n - 1])
+        window = reps[last + 1:last + int(terms[n - 2]) + 1]
+        t = terms[n] = last + 1 + int(np.argmax(window == 1))
+        if 2 * t >= len(reps):
+            reps = np.concatenate([reps, np.zeros(3 * len(reps), dtype=np.int8)])
+        sums = t + terms[:n]
+        reps[sums] = np.minimum(reps[sums], 1) + 1
+    return terms[:count].tolist()
 
 
 def is_keith(n: int) -> bool:
@@ -215,17 +217,10 @@ def is_keith(n: int) -> bool:
 
 
 def keith(count: int) -> list[int]:
-    """The first `count` Keith numbers, from the bundled verified list.
-
-    The list holds the 71 Keith numbers below 10^19.  A larger `count`
-    raises ValueError: no search extends the list, since one would start
-    at the 71st, about 6.2e18, and find nothing below 10^19.
-    """
-    known = read_values(data_dir() / "keith.txt")
-    if count > len(known):
-        raise ValueError(f"only {len(known)} Keith numbers are bundled, "
-                         f"got count={count}")
-    return known[:count]
+    """The first `count` Keith numbers, from the bundled list of the 71
+    below 10^19; no search extends it (the 72nd lies past 10^19)."""
+    SequenceSpec("keith", count)  # the spec's own check of count
+    return read_values(data_dir() / "keith.txt")[:count]
 
 
 def idoneal() -> list[int]:

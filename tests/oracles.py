@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own algorithms: leading
 digits come from integer comparisons against powers of ten instead of
 log10, partition counts from a coin-style DP table instead of the
 pentagonal recurrence, Bell numbers from the binomial convolution instead
-of the triangle, Keith completeness from a vectorized exhaustive search,
+of the triangle, Ulam terms by scanning every candidate instead of keeping
+representation counts, Keith completeness from a vectorized exhaustive search,
 the 1-D fit check from a dense parameter grid instead of bracketing plus
 golden section, and the PB series from the Hurwitz zeta function in mpmath
 instead of Euler-Maclaurin summation in float64.
@@ -69,6 +70,28 @@ def sieve_primes(bound):
         if flags[p]:
             flags[p * p::p] = b"\x00" * len(range(p * p, bound, p))
     return [i for i in range(bound) if flags[i]]
+
+
+def ulam_by_definition(count):
+    """The (1,2)-Ulam sequence by scanning every candidate: count the ways
+    it is a sum of two distinct earlier terms and keep it at exactly one."""
+    terms = [1, 2]
+    seen = {1, 2}
+    candidate = 2
+    while len(terms) < count:
+        candidate += 1
+        reps = 0
+        for t in terms:
+            if 2 * t >= candidate:
+                break
+            if (candidate - t) in seen:
+                reps += 1
+                if reps > 1:
+                    break
+        if reps == 1:
+            terms.append(candidate)
+            seen.add(candidate)
+    return terms[:count]
 
 
 def keith_numbers_below(limit):

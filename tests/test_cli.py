@@ -156,9 +156,17 @@ class TestFit:
         assert json.loads(out)["chi_square"] == pytest.approx(9.096, abs=0.01)
 
     def test_generator_failure_exit_code(self, capsys):
+        # a Keith count past the 71 bundled numbers is a bad flag value
         code, _, err = run(capsys, "fit", "--seq", "keith", "500",
                            "--model", "benford")
-        assert code == 1
+        assert code == 2
+        assert "only 71" in err
+
+    def test_seq_keith_past_bundle_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "seq", "--kind", "keith", "--param", "72")
+        assert code == 2
+        assert out == ""
+        assert "only 71" in err
 
 
 class TestTables:

@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import pytest
@@ -65,6 +66,33 @@ class TestExactAtAnySize:
                 for v in values]
         assert want == [7, 2, 9, 7, 1, 3, 1, 9, 7, 1]
         assert _first_digits(values).tolist() == want
+
+
+def _ulps_from(x, n):
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.inf if n > 0 else 0.0)
+    return x
+
+
+# values where a digit is hardest to read: d*10^k give or take a few units
+# or ulps, reals just under a power of ten, and ints of up to 10^5 bits
+_edge_values = st.one_of(
+    st.builds(lambda d, k, delta: max(1, d * 10 ** k + delta),
+              st.integers(1, 9), st.integers(0, 30_000), st.integers(-3, 3)),
+    st.builds(lambda bits, seed: random.Random(seed).getrandbits(bits) | 1 << (bits - 1),
+              st.integers(1, 100_000), st.integers(0, 2 ** 32)),
+    st.builds(lambda d, k, n: _ulps_from(d * 10.0 ** k, n),
+              st.integers(1, 9), st.integers(-300, 300), st.integers(-4, 4)),
+    st.builds(lambda k, f: 10.0 ** k * (1.0 - f),
+              st.integers(-300, 300), st.floats(0.0, 3e-12)),
+)
+
+
+@few
+@given(st.lists(_edge_values, min_size=1, max_size=24))
+def test_a_digit_does_not_depend_on_its_chunk_neighbours(chunk):
+    digits = _first_digits(chunk).tolist()
+    assert digits == [_first_digits([v])[0] for v in chunk]
 
 
 class TestFirstDigitReal:

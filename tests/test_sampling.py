@@ -102,6 +102,11 @@ class TestSampleDp:
         # P(W <= 1) = alpha / (alpha + beta)
         assert sample_dp(2.0, 1.0, 2.0 / 3.0) == pytest.approx(1.0, abs=1e-12)
 
+    def test_huge_exponents_draw_near_one(self):
+        # alpha + beta overflows float64; DP(1, alpha, beta) concentrates at 1
+        w = sample_dp(1e308, 1e308, [0.1, 0.5, 0.9])
+        np.testing.assert_allclose(w, 1.0, rtol=1e-12)
+
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             sample_dp(0.0, 1.0, 0.5)

@@ -32,6 +32,7 @@ from oracles import (
     leading_digit,
     partitions_dp,
     sieve_primes,
+    ulam_by_definition,
 )
 
 
@@ -52,6 +53,14 @@ class TestPrimes:
 
     def test_against_simple_sieve(self):
         assert primes_below(5000) == sieve_primes(5000)
+
+    def test_odd_sieve_matches_full_sieve_at_every_small_bound(self):
+        for bound in range(1001):
+            assert primes_below(bound) == sieve_primes(bound), bound
+
+    @pytest.mark.parametrize("bound", [2 * 10 ** 6 - 1, 2 * 10 ** 6, 2 * 10 ** 6 + 1])
+    def test_odd_sieve_matches_full_sieve_at_two_million(self, bound):
+        assert primes_below(bound) == sieve_primes(bound)
 
 
 class TestElementaryKinds:
@@ -107,6 +116,14 @@ class TestSievedKinds:
     def test_ulam_prefix(self):
         assert ulam(11) == [1, 2, 3, 4, 6, 8, 11, 13, 16, 18, 26]
 
+    def test_ulam_matches_the_definition(self):
+        terms = ulam_by_definition(60)
+        for count in range(1, 61):
+            assert ulam(count) == terms[:count]
+
+    def test_ulam_3000_matches_the_definition(self):
+        assert ulam(3000) == ulam_by_definition(3000)
+
     def test_ulam_44_reproduces_survey_row(self):
         got = [0] * 9
         for v in ulam(44):
@@ -133,6 +150,11 @@ class TestKeith:
     def test_param_beyond_bundle_raises(self):
         with pytest.raises(ValueError):
             keith(72)
+
+    def test_spec_rejects_param_beyond_bundle(self):
+        assert SequenceSpec("keith", 71).param == 71
+        with pytest.raises(ValueError, match="only 71"):
+            SequenceSpec("keith", 72)
 
     def test_search_fallback_is_bounded(self):
         # no search extends the bundle: the next Keith number lies past
