@@ -15,7 +15,6 @@ from genbenford import (
     fit_tspb,
     goodness_of_fit,
     load_survey,
-    reconstructed_histogram,
 )
 
 print(f"{'sequence':<18s} {'n':>6s} | {'Benford':>16s} | {'TSPB':>22s} | {'PB':>30s}")
@@ -26,8 +25,7 @@ for row in load_survey():
     if row.key not in ("square", "prime-100", "prime-1000", "prime-10000",
                        "mixing", "fibonacci", "pentagonal"):
         continue
-    hist = (digit_histogram_of(row.spec()) if row.source == "generated"
-            else reconstructed_histogram(row))
+    hist = row.histogram()
     b_chi2, _, b_p = goodness_of_fit(hist, Benford(), 0)
     t = fit_tspb(hist)
     p = fit_pb(hist, m=row.series_m)

@@ -5,6 +5,10 @@ histogram), tables (reproduce the bundled survey and its fit statistics),
 verify (Monte Carlo check of a digit law against its sampler), seq
 (export a generated sequence).
 
+Every table goes through one printer, _emit: CSV cells through str(), at
+a float's full precision, markdown cells as the caller rounded them.  A fit
+is printed from its one record, FitResult.to_json_dict().
+
 Exit codes: 0 success, 1 computational or verification failure, 2 usage
 error (a missing or invalid flag value).
 """
@@ -13,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 from .digits import DigitHistogram
 from .distributions import (
@@ -26,7 +30,7 @@ from .distributions import (
     pmf_vector,
 )
 from .fitting import FitResult, fit_pb, fit_tspb, goodness_of_fit
-from .reference import load_survey, reconstructed_histogram
+from .reference import load_survey
 from .sequences import SequenceSpec, digit_histogram_of, format_values, generate
 from .sampling import verification_report
 
@@ -111,12 +115,14 @@ def _parse_counts(text) -> DigitHistogram:
         raise UsageError(f"--counts: {e}") from None
 
 
-def _markdown_table(header, rows):
-    out = ["| " + " | ".join(header) + " |",
-           "| " + " | ".join("---" for _ in header) + " |"]
-    for row in rows:
-        out.append("| " + " | ".join(str(c) for c in row) + " |")
-    return "\n".join(out)
+def _emit(header, rows, fmt):
+    """Print one table, CSV or markdown, each cell through str()."""
+    if fmt == "csv":
+        for row in [header, *rows]:
+            print(",".join(map(str, row)))
+    else:
+        for row in [header, ["---"] * len(header), *rows]:
+            print("| " + " | ".join(map(str, row)) + " |")
 
 
 # ---------------------------------------------------------------------------
@@ -125,28 +131,24 @@ def _markdown_table(header, rows):
 
 def cmd_pmf(args) -> int:
     model = _build_model(args)
-    probs = pmf_vector(model)
-    deficit = None
-    if isinstance(model, PB):
-        deficit = pb_truncation_deficit(model.alpha, model.beta, model.m)
-
+    probs = pmf_vector(model).tolist()
+    deficit = (pb_truncation_deficit(model.alpha, model.beta, model.m)
+               if isinstance(model, PB) else None)
     if args.format == "json":
-        obj = {"model": model_to_dict(model),
-               "probabilities": [float(p) for p in probs]}
+        obj = {"model": model_to_dict(model), "probabilities": probs}
         if deficit is not None:
             obj["truncation_deficit"] = deficit
         print(json.dumps(obj))
-    elif args.format == "markdown":
-        rows = [(d, f"{p:.5f}") for d, p in enumerate(probs, start=1)]
-        print(_markdown_table(["digit", "probability"], rows))
+        return 0
+    rows = list(enumerate(probs, start=1))
+    if args.format == "markdown":
+        _emit(["digit", "probability"], [(d, f"{p:.5f}") for d, p in rows], "markdown")
         if deficit is not None:
             print(f"\ntruncation deficit: {deficit:.6e}")
     else:
-        print("digit,probability")
-        for d, p in enumerate(probs, start=1):
-            print(f"{d},{float(p)!r}")
         if deficit is not None:
-            print(f"deficit,{deficit!r}")
+            rows.append(("deficit", deficit))
+        _emit(["digit", "probability"], rows, "csv")
     return 0
 
 
@@ -173,44 +175,31 @@ def _histogram_from_args(args) -> tuple[DigitHistogram, str, int | None]:
     return digit_histogram_of(spec), f"{spec.kind}({spec.param})", survey_m
 
 
-def _render_fit(result: FitResult, label: str, fmt: str) -> str:
-    if fmt == "json":
-        obj = result.to_json_dict()
-        obj["source"] = label
-        return json.dumps(obj)
-    if fmt == "csv":
-        header = "sequence,model,params,chi_square,df,p_value"
-        return header + "\n" + result.to_csv_row(label)
-    lines = [f"source: {label}"]
-    m = model_to_dict(result.model)
-    lines.append(f"model: {m.pop('model')}")
-    for k, v in m.items():
-        lines.append(f"{k}: {v:.6g}" if isinstance(v, float) else f"{k}: {v}")
-    lines.append(f"chi_square: {result.chi_square:.6g}")
-    lines.append(f"df: {result.df}")
-    lines.append(f"p_value: {100.0 * result.p_value:.2f}%")
-    lines.append(f"converged: {result.converged}")
-    lines.append(f"evaluations: {result.evaluations}")
-    return "\n".join(lines)
-
-
 def cmd_fit(args) -> int:
     hist, label, survey_m = _histogram_from_args(args)
     if hist.sample_size < 1:
         flag = next(f for f in ("counts", "file", "seq") if getattr(args, f) is not None)
         raise UsageError(f"histogram is empty: --{flag} gives no values")
-    print(_render_fit(_fit(hist, args.model, args.m, survey_m), label, args.format))
+    rec = _fit(hist, args.model, args.m, survey_m).to_json_dict()
+    if args.format == "json":
+        print(json.dumps({**rec, "source": label}))
+        return 0
+    params = rec.pop("model")
+    kind = params.pop("model")
+    if args.format == "csv":  # the parameters in one cell; no search counters
+        del rec["converged"], rec["evaluations"]
+        params = ";".join(f"{k}={v}" for k, v in params.items())
+        _emit(["sequence", "model", "params", *rec],
+              [[label, kind, params, *rec.values()]], "csv")
+        return 0
+    rec["p_value"] = f"{100 * rec['p_value']:.2f}%"
+    for k, v in {"source": label, "model": kind, **params, **rec}.items():
+        print(f"{k}: {v:.6g}" if isinstance(v, float) else f"{k}: {v}")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # tables
-
-
-def _row_histogram(row) -> DigitHistogram:
-    if row.source == "generated":
-        return digit_histogram_of(row.spec())
-    return reconstructed_histogram(row)
 
 
 def cmd_tables(args) -> int:
@@ -250,38 +239,33 @@ def _survey_table(rows, header, cells, args) -> bool:
             failed = True
             tail = [f"error: {e}"] + [""] * (len(header) - 4)
         out_rows.append([row.label, row.n, row.source] + tail)
-    _emit_table(header, out_rows, args.format)
+    if args.format == "markdown":
+        out_rows = [[_rounded(name, c) for name, c in zip(header, r)] for r in out_rows]
+    _emit(header, out_rows, args.format)
     return failed
 
 
+def _rounded(name, cell):
+    """A survey-table cell as markdown shows it: a chi-square to 3
+    decimals, a p-value in percent to 2, another real to 5."""
+    if not isinstance(cell, float):
+        return cell
+    return (f"{100 * cell:.2f}" if name.endswith("_p") else
+            f"{cell:.3f}" if name.endswith("_chi2") else f"{cell:.5f}")
+
+
 def _digit_cells(row, args) -> list:
-    return [f"{p:.1f}" for p in _row_histogram(row).percentages()]
+    return [f"{p:.1f}" for p in row.histogram().percentages()]
 
 
 def _fit_cells(row, args) -> list:
-    """Each law's parameters, chi-square and p-value: full precision in
-    CSV, rounded (p in percent) in markdown."""
-    hist = _row_histogram(row)
+    """Each law's parameters, chi-square and p-value."""
+    hist = row.histogram()
     cells = []
     for tag in _LAWS:
         r = _fit(hist, tag, args.m, row.series_m)
-        params = [getattr(r.model, f.name) for f in fields(r.model)]
-        if args.format == "csv":
-            cells += [v if isinstance(v, int) else repr(v) for v in params]
-            cells += [repr(r.chi_square), repr(r.p_value)]
-        else:
-            cells += [v if isinstance(v, int) else f"{v:.5f}" for v in params]
-            cells += [f"{r.chi_square:.3f}", f"{100 * r.p_value:.2f}"]
+        cells += [*asdict(r.model).values(), r.chi_square, r.p_value]
     return cells
-
-
-def _emit_table(header, rows, fmt):
-    if fmt == "csv":
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(c) for c in row))
-    else:
-        print(_markdown_table(header, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +279,13 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     model = _build_model(args)
     report = verification_report(model, args.n, args.seed)
+    header = ["digit", "expected_probability", "observed_frequency", "z_score"]
+    rows = list(zip(range(1, 10), report.expected, report.observed, report.z_scores))
     if args.format == "csv":
-        sys.stdout.write(report.to_csv())
+        _emit(header, rows, "csv")
     else:
-        rows = [(d + 1, f"{report.expected[d]:.6f}", f"{report.observed[d]:.6f}",
-                 f"{report.z_scores[d]:+.3f}")
-                for d in range(9)]
-        print(_markdown_table(
-            ["digit", "expected_probability", "observed_frequency", "z_score"],
-            rows))
+        _emit(header, [(d, f"{e:.6f}", f"{o:.6f}", f"{z:+.3f}") for d, e, o, z in rows],
+              "markdown")
         print(f"\nchi_square: {report.chi_square:.4f}")
         print(f"max |z|: {report.max_abs_z:.3f}")
     ok = report.passed(z_limit=4.0)

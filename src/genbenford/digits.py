@@ -68,13 +68,6 @@ def _first_digits(values: list) -> np.ndarray:
     return digits
 
 
-def _check_digit(d) -> int:
-    di = int(d)
-    if di != d or not 1 <= di <= 9:
-        raise ValueError(f"digit out of range 1..9: {d!r}")
-    return di
-
-
 def first_digit_int(n) -> int:
     """Leading decimal digit of a positive integer, computed exactly."""
     if not isinstance(n, Integral):
@@ -160,7 +153,10 @@ def histogram(digits: Iterable[int]) -> DigitHistogram:
     """Tally a stream of first digits 1..9 into a histogram."""
     counts = [0] * 9
     for d in digits:
-        counts[_check_digit(d) - 1] += 1
+        di = int(d)
+        if di != d or not 1 <= di <= 9:
+            raise ValueError(f"digit out of range 1..9: {d!r}")
+        counts[di - 1] += 1
     return DigitHistogram.from_counts(counts)
 
 

@@ -39,16 +39,11 @@ from typing import ClassVar, Union, get_args
 
 import numpy as np
 
-from .digits import _check_digit
-
 __all__ = [
     "Benford",
     "TSPB",
     "PB",
     "ModelParams",
-    "benford_pmf",
-    "tspb_pmf",
-    "pb_pmf",
     "pmf_vector",
     "benford_vector",
     "tspb_vector",
@@ -184,19 +179,8 @@ def benford_vector() -> np.ndarray:
     return _L10[1:] - _L10[:9]
 
 
-def benford_pmf(d: int) -> float:
-    """P(first digit = d) = log10(1 + 1/d)."""
-    d = _check_digit(d)
-    return math.log10(1.0 + 1.0 / d)
-
-
 def tspb_vector(c: float) -> np.ndarray:
     return TSPB(c).pmf()
-
-
-def tspb_pmf(d: int, c: float) -> float:
-    d = _check_digit(d)
-    return float(tspb_vector(c)[d - 1])
 
 
 @lru_cache(maxsize=8)
@@ -288,11 +272,6 @@ def _pb_probs(a, b, m: int) -> np.ndarray:
 
 def pb_vector(alpha: float, beta: float, m: int = 1000) -> np.ndarray:
     return PB(alpha, beta, m).pmf()
-
-
-def pb_pmf(d: int, alpha: float, beta: float, m: int = 1000) -> float:
-    d = _check_digit(d)
-    return float(pb_vector(alpha, beta, m)[d - 1])
 
 
 def pb_truncation_deficit(alpha: float, beta: float, m: int) -> float:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -86,14 +86,8 @@ class FitResult:
     evaluations: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "model": model_to_dict(self.model),
-            "chi_square": self.chi_square,
-            "df": self.df,
-            "p_value": self.p_value,
-            "converged": self.converged,
-            "evaluations": self.evaluations,
-        }
+        """Every field, the model in its JSON form: the one record of a fit."""
+        return {**asdict(self), "model": model_to_dict(self.model)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -106,16 +100,6 @@ class FitResult:
         return cls(model=model, chi_square=chi_square, df=df,
                    p_value=chi_square_sf(chi_square, df), converged=converged,
                    evaluations=evaluations)
-
-    def to_csv_row(self, label: str = "") -> str:
-        """CSV row: sequence, model, params, chi2, df, p."""
-        m = model_to_dict(self.model)
-        kind = m.pop("model")
-        params = ";".join(f"{k}={v}" for k, v in m.items())
-        return ",".join(
-            [label, kind, params, repr(self.chi_square), str(self.df),
-             repr(self.p_value)]
-        )
 
 
 def chi_square_stat(hist: DigitHistogram, probs) -> float:

@@ -59,6 +59,14 @@ class SurveyRow:
 
         return SequenceSpec(kind=self.kind, param=self.param or 0)
 
+    def histogram(self) -> DigitHistogram:
+        """The row's digit histogram: generated, or rebuilt from percentages."""
+        if self.source != "generated":
+            return reconstructed_histogram(self)
+        from .sequences import digit_histogram_of
+
+        return digit_histogram_of(self.spec())
+
 
 def load_survey() -> list[SurveyRow]:
     path = data_dir() / "digit_survey.csv"

@@ -157,14 +157,6 @@ class VerificationReport:
     def passed(self, z_limit: float = 4.0) -> bool:
         return self.max_abs_z < z_limit
 
-    def to_csv(self) -> str:
-        lines = ["digit,expected_probability,observed_frequency,z_score"]
-        for d in range(9):
-            lines.append(
-                f"{d + 1},{self.expected[d]!r},{self.observed[d]!r},{self.z_scores[d]!r}"
-            )
-        return "\n".join(lines) + "\n"
-
 
 def verification_report(model: ModelParams, n_samples: int, seed: int) -> VerificationReport:
     """Sample the model, compare against its analytic pmf, and report

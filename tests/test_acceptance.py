@@ -29,7 +29,6 @@ from genbenford import (
     benford_vector,
     chi_square_sf,
     chi_square_stat,
-    digit_histogram_of,
     empirical_digit_pmf,
     fit_pb,
     fit_tspb,
@@ -88,13 +87,7 @@ def rows():
 
 @pytest.fixture(scope="module")
 def histograms(rows):
-    out = {}
-    for key, row in rows.items():
-        if row.source == "generated":
-            out[key] = digit_histogram_of(row.spec())
-        else:
-            out[key] = reconstructed_histogram(row)
-    return out
+    return {key: row.histogram() for key, row in rows.items()}
 
 
 @pytest.fixture(scope="module")

@@ -3,20 +3,25 @@ import io
 import json
 import math
 import shutil
+from dataclasses import asdict
 
 import pytest
 
 from genbenford import (
+    PB,
     Benford,
     DigitHistogram,
+    FitResult,
     SequenceSpec,
-    chi_square_stat,
     digit_histogram_of,
     fit_pb,
+    fit_tspb,
     goodness_of_fit,
+    pb_truncation_deficit,
     pmf_vector,
     reconstructed_histogram,
     survey_row,
+    verification_report,
 )
 from genbenford.cli import main
 
@@ -131,6 +136,9 @@ class TestFit:
         fields = dict(zip(header.split(","), row.split(",")))
         assert fields["model"] == "tspb"
         assert float(fields["chi_square"]) == pytest.approx(9.014, abs=0.02)
+        assert fields["params"].startswith("c=")
+        assert float(fields["params"][2:]) == pytest.approx(2.5396, abs=1e-3)
+        assert fields["df"] == "7"
 
     def test_zero_counts_rejected(self, capsys):
         code, _, err = run(capsys, "fit", "--counts", "0,0,0,0,0,0,0,0,0",
@@ -211,16 +219,16 @@ class TestTables:
         assert "| Fibonacci number |" in out
 
     def test_row_failure_does_not_abort_others(self, capsys, monkeypatch):
-        import genbenford.cli as cli
+        import genbenford.sequences as sequences
 
-        original = cli.digit_histogram_of
+        original = sequences.digit_histogram_of
 
         def flaky(spec):
             if spec.kind == "squares":
                 raise RuntimeError("boom")
             return original(spec)
 
-        monkeypatch.setattr(cli, "digit_histogram_of", flaky)
+        monkeypatch.setattr(sequences, "digit_histogram_of", flaky)
         code, out, _ = run(capsys, "tables", "--table", "digits",
                            "--format", "csv", "--rows", "square,fibonacci")
         assert code == 1  # a row failed...
@@ -253,6 +261,9 @@ class TestVerify:
         lines = out.strip().splitlines()
         assert lines[0] == "digit,expected_probability,observed_frequency,z_score"
         assert len(lines) >= 10
+        first = lines[1].split(",")
+        assert first[0] == "1"
+        assert float(first[1]) == pytest.approx(math.log10(2), abs=1e-12)
 
     def test_small_n_rejected(self, capsys):
         code, _, _ = run(capsys, "verify", "--model", "benford", "--n", "10")
@@ -420,3 +431,172 @@ class TestIdoneal:
         code, out, _ = run(capsys, "seq", "--kind", "idoneal", "--param", "-5")
         assert code == 2
         assert out == ""
+
+
+MIXING = DigitHistogram.from_counts([175, 90, 71, 61, 47, 48, 50, 41, 35])
+
+
+class TestExactFormat:
+    """Markdown is pinned byte for byte; every CSV and JSON cell parses to
+    the library's value exactly."""
+
+    def test_pb_pmf_markdown(self, capsys):
+        code, out, err = run(capsys, "pmf", "--model", "pb", "--alpha", "2",
+                             "--beta", "1", "--m", "1000", "--format", "markdown")
+        assert (code, err) == (0, "")
+        assert out == (
+            "| digit | probability |\n"
+            "| --- | --- |\n"
+            "| 1 | 0.37132 |\n"
+            "| 2 | 0.17702 |\n"
+            "| 3 | 0.11568 |\n"
+            "| 4 | 0.08565 |\n"
+            "| 5 | 0.06787 |\n"
+            "| 6 | 0.05614 |\n"
+            "| 7 | 0.04783 |\n"
+            "| 8 | 0.04164 |\n"
+            "| 9 | 0.03685 |\n"
+            "\n"
+            "truncation deficit: 3.326677e-07\n")
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("--model", "benford"),
+         "source: counts\nmodel: benford\nchi_square: 15.5503\ndf: 8\n"
+         "p_value: 4.93%\nconverged: True\nevaluations: 1\n"),
+        (("--model", "tspb"),
+         "source: counts\nmodel: tspb\nc: 2.53958\nchi_square: 9.01359\ndf: 7\n"
+         "p_value: 25.17%\nconverged: True\nevaluations: 216\n"),
+        (("--model", "pb", "--m", "100"),
+         "source: counts\nmodel: pb\nalpha: 4.78641\nbeta: 1.83119\nm: 100\n"
+         "chi_square: 1.81929\ndf: 6\np_value: 93.55%\nconverged: True\n"
+         "evaluations: 4480\n"),
+    ])
+    def test_fit_markdown(self, capsys, argv, expected):
+        code, out, err = run(capsys, "fit", "--counts", MIXING_COUNTS, *argv)
+        assert (code, out, err) == (0, expected, "")
+
+    def test_verify_markdown(self, capsys):
+        code, out, err = run(capsys, "verify", "--model", "benford", "--n", "1000",
+                             "--seed", "1")
+        assert (code, err) == (0, "")
+        assert out == (
+            "| digit | expected_probability | observed_frequency | z_score |\n"
+            "| --- | --- | --- | --- |\n"
+            "| 1 | 0.301030 | 0.304000 | +0.205 |\n"
+            "| 2 | 0.176091 | 0.183000 | +0.574 |\n"
+            "| 3 | 0.124939 | 0.111000 | -1.333 |\n"
+            "| 4 | 0.096910 | 0.089000 | -0.846 |\n"
+            "| 5 | 0.079181 | 0.077000 | -0.255 |\n"
+            "| 6 | 0.066947 | 0.079000 | +1.525 |\n"
+            "| 7 | 0.057992 | 0.050000 | -1.081 |\n"
+            "| 8 | 0.051153 | 0.055000 | +0.552 |\n"
+            "| 9 | 0.045757 | 0.052000 | +0.945 |\n"
+            "\n"
+            "chi_square: 6.9736\n"
+            "max |z|: 1.525\n"
+            "verdict: pass (threshold: all |z| < 4)\n")
+
+    def test_tables_markdown(self, capsys):
+        code, out, err = run(capsys, "tables", "--table", "both", "--rows", "mixing",
+                             "--m", "100")
+        assert (code, err) == (0, "")
+        assert out == (
+            "| sequence | n | source | pct1 | pct2 | pct3 | pct4 | pct5 | pct6 | pct7 "
+            "| pct8 | pct9 |\n"
+            "| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |\n"
+            "| Mixing sequence | 618 | reconstructed | 28.3 | 14.6 | 11.5 | 9.9 | 7.6 "
+            "| 7.8 | 8.1 | 6.6 | 5.7 |\n"
+            "\n"
+            "| sequence | n | source | benford_chi2 | benford_p | tspb_c | tspb_chi2 "
+            "| tspb_p | pb_alpha | pb_beta | pb_m | pb_chi2 | pb_p |\n"
+            "| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- "
+            "| --- |\n"
+            "| Mixing sequence | 618 | reconstructed | 15.550 | 4.93 | 2.53958 | 9.014 "
+            "| 25.17 | 4.78641 | 1.83119 | 100 | 1.819 | 93.55 |\n")
+
+    def test_pb_pmf_csv_and_json(self, capsys):
+        law = PB(2.0, 1.0, 1000)
+        probs = pmf_vector(law).tolist()
+        deficit = pb_truncation_deficit(2.0, 1.0, 1000)
+        code, out, _ = run(capsys, "pmf", "--model", "pb", "--alpha", "2",
+                           "--beta", "1", "--m", "1000")
+        assert code == 0
+        lines = [line.split(",") for line in out.splitlines()]
+        assert lines[0] == ["digit", "probability"]
+        assert [int(d) for d, _ in lines[1:10]] == list(range(1, 10))
+        assert [float(p) for _, p in lines[1:10]] == probs
+        assert lines[10][0] == "deficit" and float(lines[10][1]) == deficit
+        assert len(lines) == 11
+        code, out, _ = run(capsys, "pmf", "--model", "pb", "--alpha", "2",
+                           "--beta", "1", "--m", "1000", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"model": {"model": "pb", "alpha": 2.0, "beta": 1.0,
+                                             "m": 1000},
+                                   "probabilities": probs,
+                                   "truncation_deficit": deficit}
+
+    @pytest.mark.parametrize("argv,fit", [
+        (("--model", "benford"),
+         lambda: FitResult(Benford(), *goodness_of_fit(MIXING, Benford(), 0),
+                           converged=True, evaluations=1)),
+        (("--model", "tspb"), lambda: fit_tspb(MIXING)),
+        (("--model", "pb", "--m", "100"), lambda: fit_pb(MIXING, m=100)),
+    ])
+    def test_fit_csv_and_json(self, capsys, argv, fit):
+        r = fit()
+        model, chi2, df, p = r.model, r.chi_square, r.df, r.p_value
+        params = asdict(model)
+        code, out, _ = run(capsys, "fit", "--counts", MIXING_COUNTS, *argv,
+                           "--format", "csv")
+        assert code == 0
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert list(row) == ["sequence", "model", "params", "chi_square", "df",
+                             "p_value"]
+        assert (row["sequence"], row["model"]) == ("counts", model.tag)
+        cells = dict(kv.split("=") for kv in row["params"].split(";") if kv)
+        assert {k: type(params[k])(v) for k, v in cells.items()} == params
+        assert float(row["chi_square"]) == chi2
+        assert int(row["df"]) == df
+        assert float(row["p_value"]) == p
+        code, out, _ = run(capsys, "fit", "--counts", MIXING_COUNTS, *argv,
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"model": {"model": model.tag, **params},
+                                   "chi_square": chi2, "df": df, "p_value": p,
+                                   "converged": True, "evaluations": r.evaluations,
+                                   "source": "counts"}
+
+    def test_verify_csv(self, capsys):
+        report = verification_report(Benford(), 1000, 1)
+        code, out, _ = run(capsys, "verify", "--model", "benford", "--n", "1000",
+                           "--seed", "1", "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-1] == "verdict: pass (threshold: all |z| < 4)"
+        rows = list(csv.reader(lines[1:-1]))
+        assert [int(r[0]) for r in rows] == list(range(1, 10))
+        assert [float(r[1]) for r in rows] == list(report.expected)
+        assert [float(r[2]) for r in rows] == list(report.observed)
+        assert [float(r[3]) for r in rows] == list(report.z_scores)
+
+    def test_tables_csv(self, capsys):
+        row = survey_row("mixing")
+        hist = reconstructed_histogram(row)
+        code, out, _ = run(capsys, "tables", "--table", "both", "--rows", "mixing",
+                           "--m", "100", "--format", "csv")
+        assert code == 0
+        digits_block, fits_block = out.split("\n\n")
+        (digits,) = csv.DictReader(io.StringIO(digits_block))
+        assert [digits[f"pct{d}"] for d in range(1, 10)] == [
+            f"{p:.1f}" for p in hist.percentages()]
+        (fits,) = csv.DictReader(io.StringIO(fits_block))
+        assert (fits["sequence"], int(fits["n"]), fits["source"]) == (
+            row.label, row.n, "reconstructed")
+        b_chi2, _, b_p = goodness_of_fit(hist, Benford(), 0)
+        t, pb = fit_tspb(hist), fit_pb(hist, m=100)
+        assert [float(fits[k]) for k in ("benford_chi2", "benford_p")] == [b_chi2, b_p]
+        assert [float(fits[k]) for k in ("tspb_c", "tspb_chi2", "tspb_p")] == [
+            t.model.c, t.chi_square, t.p_value]
+        assert [float(fits[k]) for k in ("pb_alpha", "pb_beta", "pb_chi2", "pb_p")] == [
+            pb.model.alpha, pb.model.beta, pb.chi_square, pb.p_value]
+        assert int(fits["pb_m"]) == 100

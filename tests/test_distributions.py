@@ -17,36 +17,36 @@ from genbenford import (
     Benford,
     DigitHistogram,
     adaptive_truncation,
-    benford_pmf,
     benford_vector,
     chi_square_sf,
     chi_square_stat,
+    histogram,
     model_from_dict,
     model_from_json,
     model_to_json,
-    pb_pmf,
     pb_truncation_deficit,
     pb_vector,
     pmf_vector,
-    tspb_pmf,
     tspb_vector,
 )
 
 
 class TestBenford:
     def test_digit_1(self):
-        assert benford_pmf(1) == pytest.approx(0.301030, abs=5e-7)
+        assert Benford().pmf()[0] == pytest.approx(0.301030, abs=5e-7)
 
     def test_digit_9(self):
-        assert benford_pmf(9) == pytest.approx(0.045757, abs=5e-7)
+        assert Benford().pmf()[8] == pytest.approx(0.045757, abs=5e-7)
 
     def test_sums_to_one(self):
-        assert math.fsum(benford_pmf(d) for d in range(1, 10)) == pytest.approx(1.0, abs=1e-15)
+        assert math.fsum(Benford().pmf()) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("bad", [0, 10, -1])
     def test_rejects_bad_digit(self, bad):
-        with pytest.raises(ValueError):
-            benford_pmf(bad)
+        # a digit outside 1..9 has no probability; the one digit check,
+        # where digits are tallied, rejects it
+        with pytest.raises(ValueError, match="digit out of range"):
+            histogram([bad])
 
 
 class TestTspb:
@@ -70,8 +70,8 @@ class TestTspb:
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_c(self, bad):
-        with pytest.raises(ValueError):
-            tspb_pmf(3, bad)
+        with pytest.raises(ValueError, match="^c "):
+            TSPB(bad)
 
 
 class TestPb:
@@ -157,7 +157,7 @@ class TestPb:
     ])
     def test_rejects_bad_params(self, kwargs):
         with pytest.raises(ValueError):
-            pb_pmf(1, **kwargs)
+            PB(**kwargs)
 
 
 class TestAdaptiveTruncation:

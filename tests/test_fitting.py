@@ -180,17 +180,6 @@ class TestFitResultSerialization:
         assert obj["df"] == 7
         assert math.isclose(obj["chi_square"], r.chi_square)
 
-    def test_csv_row(self):
-        r = fit_pb(MIXING, m=100)
-        row = r.to_csv_row("mixing")
-        fields = row.split(",")
-        assert fields[0] == "mixing"
-        assert fields[1] == "pb"
-        assert "alpha=" in fields[2]
-        assert float(fields[3]) == r.chi_square
-        assert int(fields[4]) == 6
-        assert float(fields[5]) == r.p_value
-
 
 def _scipy_runs(f, starts, options):
     """scipy's Nelder-Mead from each start on the batched objective f,

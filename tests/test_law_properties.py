@@ -1,9 +1,12 @@
 """Property tests over generated valid laws: serialization, pmf routing,
 the TSPB and PB masses, the batched PB formula, the exponent samplers, the
 chi-square tail and the df convention; and over generated histograms:
-their CSV and JSON round trips and their rebuild from percentages."""
+their CSV and JSON round trips, the JSON of their fits and their rebuild
+from percentages."""
+import json
 import math
 import warnings
+from dataclasses import fields
 
 import mpmath
 import numpy as np
@@ -17,11 +20,13 @@ from genbenford import (
     TSPB,
     Benford,
     DigitHistogram,
+    FitResult,
     benford_vector,
     chi_square_sf,
     fit_pb,
     fit_tspb,
     histogram_from_percentages,
+    model_from_dict,
     model_from_json,
     model_to_json,
     pb_truncation_deficit,
@@ -36,11 +41,13 @@ positive = st.floats(min_value=0.05, max_value=50.0)
 tspb_laws = st.builds(TSPB, c=positive)
 pb_laws = st.builds(PB, alpha=positive, beta=positive, m=st.integers(1, 1000))
 laws = st.one_of(st.just(Benford()), tspb_laws, pb_laws)
-# log-uniform over alpha in [0.05, 1e9] and m in [1, 10^18]
+# log-uniform over alpha in [0.05, 1e9], beta in [1e-3, 1e3] and m in
+# [1, 10^18]
+wide_beta = st.floats(math.log(1e-3), math.log(1e3)).map(math.exp)
 wide_pb_laws = st.builds(
     PB,
     alpha=st.floats(math.log(0.05), math.log(1e9)).map(math.exp),
-    beta=positive,
+    beta=wide_beta,
     m=st.floats(0.0, 18.0).map(lambda e: round(10.0 ** e)),
 )
 
@@ -86,14 +93,14 @@ def test_pb_mass_plus_deficit_is_one(law):
 def test_pb_mass_plus_deficit_is_one_over_alpha_and_m(law):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow or invalid value anywhere
-        total = math.fsum(pmf_vector(law))
+        cells = pmf_vector(law)
+    assert np.all(cells >= 0)
     deficit = pb_truncation_deficit(law.alpha, law.beta, law.m)
-    assert abs(total + deficit - 1.0) <= 1e-12
+    assert abs(math.fsum(cells) + deficit - 1.0) <= 1e-12
 
 
 # alpha log-uniform in [0.05, 1e9], or exactly 1 (the integral's log limit)
 wide_alpha = st.one_of(st.just(1.0), st.floats(math.log(0.05), math.log(1e9)).map(math.exp))
-wide_beta = st.floats(math.log(1e-3), math.log(1e3)).map(math.exp)
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -154,6 +161,21 @@ def test_fit_df_is_eight_minus_n_params(counts):
     hist = DigitHistogram.from_counts(counts)
     assert fit_tspb(hist).df == 8 - TSPB.n_params == 7
     assert fit_pb(hist, m=10).df == 8 - PB.n_params == 6
+
+
+@settings(max_examples=3, deadline=None, database=None)
+@given(st.lists(st.integers(0, 200), min_size=9, max_size=9).filter(lambda c: sum(c) > 0))
+def test_fit_json_carries_every_field(counts):
+    hist = DigitHistogram.from_counts(counts)
+    for r in (fit_tspb(hist), fit_pb(hist, m=10)):
+        record = r.to_json_dict()
+        assert list(record) == [f.name for f in fields(FitResult)]
+        assert model_from_dict(record["model"]) == r.model
+        back = json.loads(r.to_json())
+        assert model_from_dict(back["model"]) == r.model
+        for f in fields(FitResult)[1:]:
+            assert back[f.name] == getattr(r, f.name)
+            assert type(back[f.name]) is type(getattr(r, f.name))
 
 
 counts = st.lists(st.integers(0, 10 ** 6), min_size=9, max_size=9).filter(any)

@@ -195,15 +195,6 @@ class TestVerificationReport:
         assert rep.max_abs_z < 4.0
         assert rep.chi_square >= 0.0
 
-    def test_csv(self):
-        rep = verification_report(Benford(), 2_000, seed=5)
-        lines = rep.to_csv().strip().splitlines()
-        assert lines[0] == "digit,expected_probability,observed_frequency,z_score"
-        assert len(lines) == 10
-        first = lines[1].split(",")
-        assert first[0] == "1"
-        assert float(first[1]) == pytest.approx(math.log10(2), abs=1e-12)
-
     def test_small_n_still_well_formed(self):
         rep = verification_report(Benford(), 1_000, seed=1)
         assert len(rep.observed) == 9
