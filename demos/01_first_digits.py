@@ -8,8 +8,8 @@ histogram against the Benford distribution.
 import numpy as np
 
 from genbenford import (
+    Benford,
     SequenceSpec,
-    benford_vector,
     chi_square_stat,
     chi_square_sf,
     digit_histogram_of,
@@ -31,7 +31,7 @@ specs = {
     "catalan (first 100)": SequenceSpec("catalan", 100),
 }
 
-benford = benford_vector()
+benford = Benford().pmf()
 print(f"{'digit':>20s}: " + " ".join(f"{d:>5d}" for d in range(1, 10)))
 print(f"{'benford %':>20s}: " + " ".join(f"{100 * p:5.1f}" for p in benford))
 for name, spec in specs.items():

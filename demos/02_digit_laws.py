@@ -12,13 +12,12 @@ from genbenford import (
     TSPB,
     Benford,
     adaptive_truncation,
-    benford_vector,
     pb_truncation_deficit,
     pmf_vector,
     tspb_vector,
 )
 
-benford = benford_vector()
+benford = Benford().pmf()
 
 print("TSPB sweeps a family through Benford's law:")
 print(f"{'c':>6s}: " + " ".join(f"{d:>6d}" for d in range(1, 10)))

@@ -15,7 +15,7 @@ from genbenford import (
     TSPB,
     GbmParams,
     adaptive_truncation,
-    first_digit_of_exponent,
+    first_digit_real,
     gbm_char_roots,
     pmf_vector,
     sample_dp,
@@ -27,7 +27,7 @@ from genbenford import (
 u = 0.3
 w = sample_tspp(1.0, 2.5, u)
 print(f"u = {u} -> exponent W = {w:.6f} -> 10^W = {10 ** w:.4f} "
-      f"-> first digit {first_digit_of_exponent(w)}\n")
+      f"-> first digit {first_digit_real(10 ** w)}\n")
 
 # One million draws per model; per-digit z-scores should sit within a few
 # sigma of zero if the closed-form laws are right.

@@ -7,7 +7,6 @@ Positive reals keep a guard for values a hair below an exact power of ten.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from numbers import Integral
@@ -94,6 +93,9 @@ class DigitHistogram:
     def __post_init__(self):
         if len(self.counts) != 9:
             raise ValueError(f"expected 9 counts, got {len(self.counts)}")
+        for c in (*self.counts, self.sample_size):
+            if not (isinstance(c, Integral) or (isinstance(c, float) and c.is_integer())):
+                raise ValueError(f"counts and sample_size must be integers, got {c!r}")
         counts = tuple(int(c) for c in self.counts)
         for c in counts:
             if c < 0:
@@ -107,13 +109,12 @@ class DigitHistogram:
 
     @classmethod
     def from_counts(cls, counts: Sequence[int]) -> "DigitHistogram":
-        counts = tuple(int(c) for c in counts)
+        counts = tuple(counts)
         return cls(counts, sum(counts))
 
     def frequencies(self) -> np.ndarray:
-        if self.sample_size == 0:
-            return np.zeros(9)
-        return np.asarray(self.counts, dtype=float) / self.sample_size
+        """Counts over sample_size; all zeros for an empty histogram."""
+        return np.asarray(self.counts, dtype=float) / max(self.sample_size, 1)
 
     def percentages(self) -> np.ndarray:
         return 100.0 * self.frequencies()
@@ -136,17 +137,8 @@ class DigitHistogram:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "DigitHistogram":
-        h = cls.from_counts(obj["counts"])
-        if "n" in obj and int(obj["n"]) != h.sample_size:
-            raise ValueError(f"counts sum to {h.sample_size}, not n={obj['n']}")
-        return h
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "DigitHistogram":
-        return cls.from_json_dict(json.loads(text))
+        counts = tuple(obj["counts"])
+        return cls(counts, obj.get("n", sum(counts)))
 
 
 def histogram(digits: Iterable[int]) -> DigitHistogram:

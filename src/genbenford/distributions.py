@@ -30,7 +30,6 @@ here, the samplers and the CLI construct the law to check theirs.
 """
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -45,7 +44,6 @@ __all__ = [
     "PB",
     "ModelParams",
     "pmf_vector",
-    "benford_vector",
     "tspb_vector",
     "pb_vector",
     "pb_truncation_deficit",
@@ -53,8 +51,6 @@ __all__ = [
     "chi_square_sf",
     "model_to_dict",
     "model_from_dict",
-    "model_to_json",
-    "model_from_json",
 ]
 
 # log10(1), ..., log10(10)
@@ -91,7 +87,7 @@ class Benford:
     n_params: ClassVar[int] = 0
 
     def pmf(self) -> np.ndarray:
-        return benford_vector()
+        return _L10[1:] - _L10[:9]
 
 
 @dataclass(frozen=True)
@@ -108,8 +104,7 @@ class TSPB:
             raise ValueError(f"c must be a positive real, got {self.c}")
 
     def pmf(self) -> np.ndarray:
-        lo, hi, c = _L10[:9], _L10[1:], self.c
-        return 0.5 * (hi ** c - lo ** c - (1.0 - hi) ** c + (1.0 - lo) ** c)
+        return _tspb_probs(self.c)
 
 
 @dataclass(frozen=True)
@@ -163,20 +158,15 @@ def model_from_dict(obj: dict) -> ModelParams:
                   if f.name in obj or f.default is MISSING})
 
 
-def model_to_json(model: ModelParams) -> str:
-    return json.dumps(model_to_dict(model))
-
-
-def model_from_json(text: str) -> ModelParams:
-    return model_from_dict(json.loads(text))
-
-
 # ---------------------------------------------------------------------------
 # pmf evaluation
 
 
-def benford_vector() -> np.ndarray:
-    return _L10[1:] - _L10[:9]
+def _tspb_probs(c) -> np.ndarray:
+    """Unvalidated TSPB pmf, shared by TSPB.pmf and the fitter's objective:
+    c is a float, or an array of shape (K, 1) for a (K, 9) result."""
+    lo, hi = _L10[:9], _L10[1:]
+    return 0.5 * (hi ** c - lo ** c - (1.0 - hi) ** c + (1.0 - lo) ** c)
 
 
 def tspb_vector(c: float) -> np.ndarray:
@@ -263,7 +253,7 @@ def _series_differences(alpha, m: int) -> np.ndarray:
 
 
 def _pb_probs(a, b, m: int) -> np.ndarray:
-    """Unvalidated PB pmf, shared by pb_vector and the fitter's objective:
+    """Unvalidated PB pmf, shared by PB.pmf and the fitter's objective:
     a and b are floats, or arrays of shape (K,) for a (K, 9) result."""
     # digits on the first axis, so that a and b broadcast over the last
     p = np.power.outer(_L10, b)

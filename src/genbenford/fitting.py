@@ -5,21 +5,21 @@ pooling.  Degrees of freedom follow the 9-cells-minus-1-minus-estimated-
 parameters convention, 8 - n_params of the law: 8 for Benford, 7 for
 TSPB, 6 for PB.
 
-Both fitters are deterministic.  The 1-D TSPB search scans a fixed bracket
-grid and refines each local minimum by golden section.  The 2-D PB search
-is a Nelder-Mead multistart in (log alpha, log beta) space: 37 fixed
-starts run a coarse pass and the best 3 endpoints are polished, each
-stage with all its simplices in lockstep, one call of a batched
-chi-square objective per step.  Each simplex reaches the point,
-chi-square and evaluation count that SciPy's Nelder-Mead reaches from its
-start (tests/test_fitting.py checks this).  alpha is capped at 1e9 (the
+Both fitters are deterministic and score points through one batched
+chi-square objective.  The 1-D TSPB search scores its fixed 40-point
+bracket grid in one call and refines each local minimum by golden
+section, one point per call.  The 2-D PB search is a Nelder-Mead
+multistart in (log alpha, log beta) space: 37 fixed starts run a coarse
+pass and the best 3 endpoints are polished, each stage with all its
+simplices in lockstep, one call of the objective per step.  Each simplex
+reaches the point, chi-square and evaluation count that SciPy's
+Nelder-Mead reaches from its start (tests/test_fitting.py checks this).  alpha is capped at 1e9 (the
 chi-square surface goes flat in alpha for near-Benford data, so the cap
 only pins an arbitrarily large estimate; the minimized chi-square is
 unaffected).
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -33,9 +33,8 @@ from .distributions import (
     chi_square_sf,
     model_to_dict,
     pmf_vector,
-    tspb_vector,
 )
-from .distributions import _pb_probs
+from .distributions import _pb_probs, _tspb_probs
 
 __all__ = [
     "FitResult",
@@ -89,9 +88,6 @@ class FitResult:
         """Every field, the model in its JSON form: the one record of a fit."""
         return {**asdict(self), "model": model_to_dict(self.model)}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def _of(cls, model: ModelParams, chi_square: float, converged: bool,
             evaluations: int) -> "FitResult":
@@ -114,11 +110,34 @@ def chi_square_stat(hist: DigitHistogram, probs) -> float:
     counts = np.asarray(hist.counts, dtype=float)
     bad = (probs <= 0) & (counts > 0)
     if np.any(bad):
-        d = int(np.argmax(bad)) + 1
-        raise ValueError(f"probability for digit {d} is <= 0 but its count is > 0")
+        raise ValueError(f"probability for digit {int(np.argmax(bad)) + 1} is <= 0 "
+                         "but its count is > 0")
     live = probs > 0
-    expected = hist.sample_size * probs[live]
-    return float(((counts[live] - expected) ** 2 / expected).sum())
+    return float(_pearson(counts[live], hist.sample_size * probs[live]))
+
+
+def _pearson(counts: np.ndarray, expected: np.ndarray) -> np.ndarray:
+    """sum (O - E)^2 / E over the last axis: the one Pearson line."""
+    return ((counts - expected) ** 2 / expected).sum(axis=-1)
+
+
+def _objective(hist: DigitHistogram, probs_of):
+    """The batched objective, (K, p) parameter points -> K chi-squares,
+    where probs_of maps the points to their (K, 9) pmfs: a non-finite
+    chi-square (from an underflowed or invalid pmf) or a negative cell
+    (from rounding where a series is not valid) mapped to 1e300."""
+    if hist.sample_size < 1:
+        raise ValueError("histogram must have sample_size >= 1")
+    counts = np.asarray(hist.counts, dtype=float)
+
+    def chi_squares(x: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # C order, so that a row's sum does not depend on how many rows
+            expected = hist.sample_size * np.ascontiguousarray(probs_of(x))
+            v = _pearson(counts, expected)
+        return np.where(np.isfinite(v) & (expected >= 0).all(axis=1), v, 1e300)
+
+    return chi_squares
 
 
 def goodness_of_fit(hist: DigitHistogram, model: ModelParams,
@@ -159,48 +178,35 @@ def fit_tspb(hist: DigitHistogram) -> FitResult:
     Multistart bracket scan at step 0.25 followed by golden-section
     refinement of every local minimum.
     """
-    nev = 0
+    objective = _objective(hist, _tspb_probs)
+    grid = np.arange(_C_GRID_STEP, _C_MAX + 1e-12, _C_GRID_STEP)
+    vals = objective(grid[:, None]).tolist()
+    nev = len(grid)
 
-    def obj(c: float) -> float:
+    def at(c: float) -> float:  # one point, as a one-row batch
         nonlocal nev
         nev += 1
-        return chi_square_stat(hist, tspb_vector(c))
+        return float(objective(np.array([[c]]))[0])
 
-    grid = np.arange(_C_GRID_STEP, _C_MAX + 1e-12, _C_GRID_STEP)
-    vals = [obj(c) for c in grid]
     i_best = int(np.argmin(vals))
     best_c, best_val = float(grid[i_best]), vals[i_best]
-    for i, c in enumerate(grid):
-        left = vals[i - 1] if i > 0 else math.inf
-        right = vals[i + 1] if i + 1 < len(grid) else math.inf
-        if vals[i] <= left and vals[i] <= right:
-            lo = float(grid[i - 1]) if i > 0 else _C_MIN
-            hi = float(grid[i + 1]) if i + 1 < len(grid) else _C_MAX
-            x, fx, n = _golden_section(obj, lo, hi, _GOLDEN_TOL)
-            nev += n
-            if fx < best_val:
-                best_c, best_val = x, fx
+    v = np.array([math.inf, *vals, math.inf])
+    for i in np.flatnonzero((v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])):  # local minima
+        lo = float(grid[i - 1]) if i > 0 else _C_MIN
+        hi = float(grid[i + 1]) if i + 1 < len(grid) else _C_MAX
+        x, fx, n = _golden_section(at, lo, hi, _GOLDEN_TOL)
+        nev += n
+        if fx < best_val:
+            best_c, best_val = x, fx
     return FitResult._of(TSPB(c=best_c), best_val, converged=True, evaluations=nev)
 
 
 def _pb_objective(hist: DigitHistogram, m: int):
-    """The batched objective, (K, 2) points in (log alpha, log beta) -> K
-    chi-squares: alpha and beta capped, a non-finite chi-square (from an
-    underflowed or invalid pmf) or a negative cell (from rounding where
-    the series is not valid, alpha far below 0.05) mapped to 1e300."""
-    counts = np.asarray(hist.counts, dtype=float)
-    n = hist.sample_size
-
-    def chi_squares(lp: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            a = np.exp(np.minimum(lp[:, 0], _LOG_ALPHA_CAP))
-            b = np.exp(np.minimum(lp[:, 1], _LOG_BETA_CAP))
-            # C order, so that a row's sum does not depend on how many rows
-            expected = n * np.ascontiguousarray(_pb_probs(a, b, m))
-            v = ((counts - expected) ** 2 / expected).sum(axis=1)
-        return np.where(np.isfinite(v) & (expected >= 0).all(axis=1), v, 1e300)
-
-    return chi_squares
+    """fit_pb's objective, on (K, 2) points in (log alpha, log beta) with
+    alpha and beta capped."""
+    return _objective(hist, lambda lp: _pb_probs(
+        np.exp(np.minimum(lp[:, 0], _LOG_ALPHA_CAP)),
+        np.exp(np.minimum(lp[:, 1], _LOG_BETA_CAP)), m))
 
 
 def _simplex_run(x0, xatol: float, fatol: float, maxiter: int, maxfev: int):
@@ -303,8 +309,6 @@ def fit_pb(hist: DigitHistogram, m: int = 1000) -> FitResult:
     limit; `evaluations` counts the points of both stages.
     """
     m = PB(1.0, 1.0, m).m  # the law's own check of m
-    if hist.sample_size < 1:
-        raise ValueError("histogram must have sample_size >= 1")
     objective = _pb_objective(hist, m)
     x, fun, nfev, _ = _nelder_mead(objective, np.array(_NM_STARTS), **_COARSE)
     order = sorted(range(len(_NM_STARTS)), key=lambda i: (fun[i], i))[:3]

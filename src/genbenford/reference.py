@@ -26,7 +26,6 @@ __all__ = [
     "data_dir",
     "load_survey",
     "survey_row",
-    "reconstructed_histogram",
 ]
 
 _ENV_VAR = "BENFORD_DATA_DIR"
@@ -51,42 +50,31 @@ class SurveyRow:
     percentages: tuple
     series_m: int
 
-    def spec(self):
-        """SequenceSpec for rows backed by a generator, else None."""
-        if self.kind is None:
-            return None
-        from .sequences import SequenceSpec
-
-        return SequenceSpec(kind=self.kind, param=self.param or 0)
-
     def histogram(self) -> DigitHistogram:
         """The row's digit histogram: generated, or rebuilt from percentages."""
         if self.source != "generated":
-            return reconstructed_histogram(self)
-        from .sequences import digit_histogram_of
+            return histogram_from_percentages(self.percentages, self.n)
+        from .sequences import SequenceSpec, digit_histogram_of
 
-        return digit_histogram_of(self.spec())
+        return digit_histogram_of(SequenceSpec(kind=self.kind, param=self.param or 0))
 
 
 def load_survey() -> list[SurveyRow]:
-    path = data_dir() / "digit_survey.csv"
-    rows = []
-    with open(path, newline="") as fh:
+    with open(data_dir() / "digit_survey.csv", newline="") as fh:
         reader = csv.DictReader(line for line in fh if not line.startswith("#"))
-        for rec in reader:
-            rows.append(
-                SurveyRow(
-                    key=rec["key"],
-                    label=rec["label"],
-                    source=rec["source"],
-                    kind=rec["kind"] or None,
-                    param=int(rec["param"]) if rec["param"] else None,
-                    n=int(rec["n"]),
-                    percentages=tuple(float(rec[f"pct{d}"]) for d in range(1, 10)),
-                    series_m=int(rec["series_m"]),
-                )
+        return [
+            SurveyRow(
+                key=rec["key"],
+                label=rec["label"],
+                source=rec["source"],
+                kind=rec["kind"] or None,
+                param=int(rec["param"]) if rec["param"] else None,
+                n=int(rec["n"]),
+                percentages=tuple(float(rec[f"pct{d}"]) for d in range(1, 10)),
+                series_m=int(rec["series_m"]),
             )
-    return rows
+            for rec in reader
+        ]
 
 
 def survey_row(key: str) -> SurveyRow:
@@ -94,8 +82,3 @@ def survey_row(key: str) -> SurveyRow:
         if row.key == key:
             return row
     raise KeyError(f"no survey row with key {key!r}")
-
-
-def reconstructed_histogram(row: SurveyRow) -> DigitHistogram:
-    """Integer counts rebuilt from the row's published percentages."""
-    return histogram_from_percentages(row.percentages, row.n)

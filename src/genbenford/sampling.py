@@ -27,7 +27,6 @@ __all__ = [
     "gbm_char_roots",
     "sample_tspp",
     "sample_dp",
-    "first_digit_of_exponent",
     "empirical_digit_pmf",
     "VerificationReport",
     "verification_report",
@@ -62,9 +61,7 @@ def gbm_char_roots(params: GbmParams) -> tuple[float, float]:
     disc = b * b - 4.0 * a * c  # > 0: both a and lambda are positive
     q = -0.5 * (b + math.copysign(math.sqrt(disc), b if b != 0 else 1.0))
     r1, r2 = q / a, c / q
-    alpha = max(r1, r2)
-    beta = -min(r1, r2)
-    return alpha, beta
+    return max(r1, r2), -min(r1, r2)
 
 
 def _as_unit_interval(u):
@@ -74,8 +71,8 @@ def _as_unit_interval(u):
     return arr
 
 
-def _maybe_scalar(arr, scalar_in):
-    return float(arr) if scalar_in else arr
+def _maybe_scalar(arr):  # a float for a scalar u, an array for an array
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def sample_tspp(alpha: float, c: float, u):
@@ -87,11 +84,10 @@ def sample_tspp(alpha: float, c: float, u):
     if not (0.0 < alpha < 2.0):
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
     TSPB(c)  # the law's own check of c
-    scalar_in = np.isscalar(u) or getattr(u, "ndim", 1) == 0
     arr = _as_unit_interval(u)
     lower = alpha * (2.0 * arr / alpha) ** (1.0 / c)
     upper = 2.0 - (2.0 - alpha) * (2.0 * (1.0 - arr) / (2.0 - alpha)) ** (1.0 / c)
-    return _maybe_scalar(np.where(arr <= alpha / 2.0, lower, upper), scalar_in)
+    return _maybe_scalar(np.where(arr <= alpha / 2.0, lower, upper))
 
 
 def sample_dp(alpha: float, beta: float, u):
@@ -99,22 +95,13 @@ def sample_dp(alpha: float, beta: float, u):
     density ~ w^(beta-1) below 1 and w^(-alpha-1) above 1, with
     P(W <= 1) = alpha / (alpha + beta)."""
     PB(alpha, beta)  # the law's own check of alpha and beta
-    scalar_in = np.isscalar(u) or getattr(u, "ndim", 1) == 0
     arr = _as_unit_interval(u)
     # 1 + beta/alpha, not (alpha + beta)/alpha: the sum may overflow
     split = 1.0 / (1.0 + beta / alpha)
     lower = ((1.0 + beta / alpha) * arr) ** (1.0 / beta)
     with np.errstate(divide="ignore"):
         upper = ((1.0 + alpha / beta) * (1.0 - arr)) ** (-1.0 / alpha)
-    return _maybe_scalar(np.where(arr < split, lower, upper), scalar_in)
-
-
-def first_digit_of_exponent(w: float) -> int:
-    """First digit of 10^w, i.e. floor(10^(w - floor(w)))."""
-    w = float(w)
-    if not math.isfinite(w) or w < 0.0:
-        raise ValueError(f"expected a finite non-negative exponent, got {w}")
-    return int(_digits_from_log10_fractions(np.array(w % 1.0)))
+    return _maybe_scalar(np.where(arr < split, lower, upper))
 
 
 # law -> draw of its generating exponent W from uniform variates u

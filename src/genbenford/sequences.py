@@ -31,7 +31,6 @@ __all__ = [
     "generate",
     "digit_histogram_of",
     *SEQUENCE_KINDS[:-1],  # the generators: every kind but custom_file
-    "is_keith",
     "parse_values",
     "read_values",
     "format_values",
@@ -199,21 +198,6 @@ def ulam(count: int) -> list[int]:
         sums = t + terms[:n]
         reps[sums] = np.minimum(reps[sums], 1) + 1
     return terms[:count].tolist()
-
-
-def is_keith(n: int) -> bool:
-    """Whether n reproduces itself from its own digits: seed a sequence with
-    the k digits of n and iterate k-term sums; n must appear in the sequence.
-    Single-digit numbers are excluded by convention."""
-    if n < 10:
-        return False
-    window = [int(ch) for ch in str(n)]
-    while True:
-        nxt = sum(window)
-        if nxt >= n:
-            return nxt == n
-        window.pop(0)
-        window.append(nxt)
 
 
 def keith(count: int) -> list[int]:

@@ -5,7 +5,8 @@ digits come from integer comparisons against powers of ten instead of
 log10, partition counts from a coin-style DP table instead of the
 pentagonal recurrence, Bell numbers from the binomial convolution instead
 of the triangle, Ulam terms by scanning every candidate instead of keeping
-representation counts, Keith completeness from a vectorized exhaustive search,
+representation counts, Keith membership from the digit recurrence and Keith
+completeness from a vectorized exhaustive search,
 the 1-D fit check from a dense parameter grid instead of bracketing plus
 golden section, and the PB series from the Hurwitz zeta function in mpmath
 instead of Euler-Maclaurin summation in float64.
@@ -92,6 +93,21 @@ def ulam_by_definition(count):
             terms.append(candidate)
             seen.add(candidate)
     return terms[:count]
+
+
+def is_keith(n):
+    """Whether n reproduces itself from its own digits: seed a sequence with
+    the k digits of n and iterate k-term sums; n must appear in the sequence.
+    Single-digit numbers are excluded by convention."""
+    if n < 10:
+        return False
+    window = [int(ch) for ch in str(n)]
+    while True:
+        nxt = sum(window)
+        if nxt >= n:
+            return nxt == n
+        window.pop(0)
+        window.append(nxt)
 
 
 def keith_numbers_below(limit):

@@ -26,18 +26,15 @@ from genbenford import (
     Benford,
     DigitHistogram,
     adaptive_truncation,
-    benford_vector,
     chi_square_sf,
     chi_square_stat,
     empirical_digit_pmf,
     fit_pb,
     fit_tspb,
-    goodness_of_fit,
-    load_survey,
+    histogram_from_percentages,
     pb_truncation_deficit,
     pb_vector,
     pmf_vector,
-    reconstructed_histogram,
     tspb_vector,
 )
 from oracles import bell_binomial, partitions_dp, sieve_primes, tspb_dense_grid_min
@@ -80,36 +77,13 @@ def report(num, ok, detail):
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} — {detail}")
 
 
-@pytest.fixture(scope="module")
-def rows():
-    return {r.key: r for r in load_survey()}
-
-
-@pytest.fixture(scope="module")
-def histograms(rows):
-    return {key: row.histogram() for key, row in rows.items()}
-
-
-@pytest.fixture(scope="module")
-def fits(rows, histograms):
-    out = {}
-    for key, row in rows.items():
-        h = histograms[key]
-        out[key] = {
-            "benford": goodness_of_fit(h, Benford(), 0),
-            "tspb": fit_tspb(h),
-            "pb": fit_pb(h, m=row.series_m),
-        }
-    return out
-
-
 # -- criterion 1: generated rows, Benford column ----------------------------
 
 
 def test_criterion_1_generated_benford_chi_square(histograms):
     failures = []
     for key in GENERATED_CLEAN:
-        chi2 = chi_square_stat(histograms[key], benford_vector())
+        chi2 = chi_square_stat(histograms[key], Benford().pmf())
         ref = REFERENCE[key][0]
         if abs(chi2 - ref) > 0.005 * ref:
             failures.append(f"{key}: {chi2:.3f} vs {ref}")
@@ -124,7 +98,7 @@ def test_criterion_1_generated_benford_chi_square(histograms):
                    reason="published cube-10000 row transposes its Benford and "
                           "TSPB chi-squares; the true Benford value is 472.011")
 def test_criterion_1_cube_10000_as_printed(histograms):
-    chi2 = chi_square_stat(histograms["cube-10000"], benford_vector())
+    chi2 = chi_square_stat(histograms["cube-10000"], Benford().pmf())
     ref = REFERENCE["cube-10000"][0]
     report(1, abs(chi2 - ref) <= 0.005 * ref,
            f"cube-10000 Benford chi2 as printed: computed {chi2:.3f} vs {ref}")
@@ -135,7 +109,7 @@ def test_cube_10000_cells_are_transposed(histograms):
     # the printed Benford cell equals TSPB at the row's own published
     # estimate c = 2.27054, and the printed TSPB cell equals Benford
     h = histograms["cube-10000"]
-    benford_chi2 = chi_square_stat(h, benford_vector())
+    benford_chi2 = chi_square_stat(h, Benford().pmf())
     tspb_chi2 = chi_square_stat(h, tspb_vector(2.27054))
     assert benford_chi2 == pytest.approx(472.011, abs=0.01)
     assert tspb_chi2 == pytest.approx(443.745, abs=0.01)
@@ -145,7 +119,7 @@ def test_cube_10000_cells_are_transposed(histograms):
                    reason="published Bell percentages do not match true Bell "
                           "numbers under any indexing; generated chi2 is 7.169")
 def test_criterion_1_bell_as_printed(histograms):
-    chi2 = chi_square_stat(histograms["bell"], benford_vector())
+    chi2 = chi_square_stat(histograms["bell"], Benford().pmf())
     ref = REFERENCE["bell"][0]
     report(1, abs(chi2 - ref) <= 0.005 * ref,
            f"bell Benford chi2 as printed: computed {chi2:.3f} vs {ref}")
@@ -155,8 +129,8 @@ def test_criterion_1_bell_as_printed(histograms):
 def test_bell_row_statistics_consistent_with_its_percentages(rows):
     # the published Bell chi-square IS reproducible from the published
     # percentages, so the source data (not the arithmetic) was wrong
-    h = reconstructed_histogram(rows["bell"])
-    assert chi_square_stat(h, benford_vector()) == pytest.approx(3.069, abs=0.01)
+    h = histogram_from_percentages(rows["bell"].percentages, rows["bell"].n)
+    assert chi_square_stat(h, Benford().pmf()) == pytest.approx(3.069, abs=0.01)
     assert chi_square_stat(h, tspb_vector(1.08191)) == pytest.approx(3.014, abs=0.02)
     assert chi_square_stat(h, pb_vector(10.14820, 1.24828, 100)) == pytest.approx(2.607, abs=0.02)
 
@@ -167,7 +141,7 @@ def test_bell_row_statistics_consistent_with_its_percentages(rows):
 def test_criterion_2_reconstructed_benford_chi_square(histograms):
     failures = []
     for key in RECONSTRUCTED:
-        chi2 = chi_square_stat(histograms[key], benford_vector())
+        chi2 = chi_square_stat(histograms[key], Benford().pmf())
         ref = REFERENCE[key][0]
         if abs(chi2 - ref) > 0.1:
             failures.append(f"{key}: {chi2:.3f} vs {ref}")
@@ -311,7 +285,7 @@ def test_criterion_5_normalization_identities():
                 if abs(total - (1.0 - deficit)) >= 1e-12:
                     failures.append(f"pb({alpha},{beta},{m})")
     for c in (1.0, 2.0):
-        if np.abs(tspb_vector(c) - benford_vector()).max() >= 1e-14:
+        if np.abs(tspb_vector(c) - Benford().pmf()).max() >= 1e-14:
             failures.append(f"tspb({c}) != benford")
     report(5, not failures, "TSPB normalization (1e-12), PB deficit identity "
                             "(1e-12), TSPB(1)=TSPB(2)=Benford (1e-14)"

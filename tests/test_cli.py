@@ -19,7 +19,6 @@ from genbenford import (
     goodness_of_fit,
     pb_truncation_deficit,
     pmf_vector,
-    reconstructed_histogram,
     survey_row,
     verification_report,
 )
@@ -202,7 +201,7 @@ class TestTables:
         chi2, _, _ = goodness_of_fit(squares, Benford(), 0)
         assert rows["Square"]["benford_chi2"] == repr(chi2)
 
-        mixing = reconstructed_histogram(survey_row("mixing"))
+        mixing = survey_row("mixing").histogram()
         pb = fit_pb(mixing, m=100)
         assert rows["Mixing sequence"]["pb_chi2"] == repr(pb.chi_square)
         assert rows["Mixing sequence"]["pb_m"] == "100"
@@ -581,7 +580,7 @@ class TestExactFormat:
 
     def test_tables_csv(self, capsys):
         row = survey_row("mixing")
-        hist = reconstructed_histogram(row)
+        hist = row.histogram()
         code, out, _ = run(capsys, "tables", "--table", "both", "--rows", "mixing",
                            "--m", "100", "--format", "csv")
         assert code == 0

@@ -1,7 +1,9 @@
+import json
 import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -177,12 +179,32 @@ class TestDigitHistogram:
 
     def test_json_round_trip(self):
         h = DigitHistogram.from_counts([1, 0, 0, 2, 0, 0, 0, 0, 0])
-        assert DigitHistogram.from_json(h.to_json()) == h
+        assert DigitHistogram.from_json_dict(json.loads(json.dumps(h.to_json_dict()))) == h
         assert h.to_json_dict() == {"counts": [1, 0, 0, 2, 0, 0, 0, 0, 0], "n": 3}
 
     def test_json_rejects_inconsistent_n(self):
         with pytest.raises(ValueError):
-            DigitHistogram.from_json('{"counts": [1,0,0,0,0,0,0,0,0], "n": 5}')
+            DigitHistogram.from_json_dict({"counts": [1, 0, 0, 0, 0, 0, 0, 0, 0], "n": 5})
+
+    @pytest.mark.parametrize("make", [
+        lambda: DigitHistogram.from_json_dict({"counts": [2.9] * 9, "n": 18}),
+        lambda: DigitHistogram.from_json_dict({"counts": [2] * 9, "n": 18.5}),
+        lambda: DigitHistogram.from_counts([1.5] * 9),
+        lambda: DigitHistogram((1,) * 8 + (1.7,), 9),
+        lambda: DigitHistogram((1,) * 9, 9.5),
+        lambda: DigitHistogram.from_counts([math.nan] + [0] * 8),
+        lambda: DigitHistogram.from_counts([math.inf] + [0] * 8),
+    ], ids=["json-count", "json-n", "from-counts", "count", "sample-size", "nan", "inf"])
+    def test_rejects_non_integral_counts(self, make):
+        # a count is never truncated to an integer
+        with pytest.raises(ValueError, match="must be integers"):
+            make()
+
+    def test_accepts_numpy_and_integral_float_counts(self):
+        h = DigitHistogram.from_counts(np.bincount([1, 1, 2, 9], minlength=10)[1:])
+        assert h.counts == (2, 1, 0, 0, 0, 0, 0, 0, 1) and h.sample_size == 4
+        assert all(type(c) is int for c in (*h.counts, h.sample_size))
+        assert DigitHistogram.from_counts([3.0] * 9) == DigitHistogram.from_counts([3] * 9)
 
 
 class TestHistogramFromPercentages:

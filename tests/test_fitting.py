@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 import genbenford.fitting as fitting
+from genbenford.distributions import _tspb_probs
 from genbenford import (
     PB,
     TSPB,
     Benford,
     DigitHistogram,
-    benford_vector,
     chi_square_sf,
     chi_square_stat,
     fit_pb,
@@ -19,7 +21,6 @@ from genbenford import (
     histogram_from_percentages,
     load_survey,
     pb_vector,
-    reconstructed_histogram,
     survey_row,
 )
 from oracles import tspb_dense_grid_min
@@ -31,6 +32,12 @@ PRIME_1000 = histogram_from_percentages(
     [14.9, 11.3, 11.3, 11.9, 10.1, 10.7, 10.7, 10.1, 8.9], 168)
 
 
+def _from_percentages(key):
+    """A survey row's histogram rebuilt from its published percentages."""
+    row = survey_row(key)
+    return histogram_from_percentages(row.percentages, row.n)
+
+
 class TestChiSquareStat:
     def test_perfect_fit_is_zero(self):
         probs = np.full(9, 1.0 / 9.0)
@@ -38,10 +45,10 @@ class TestChiSquareStat:
         assert chi_square_stat(h, probs) == 0.0
 
     def test_mixing_vs_benford(self):
-        assert chi_square_stat(MIXING, benford_vector()) == pytest.approx(15.550, abs=0.05)
+        assert chi_square_stat(MIXING, Benford().pmf()) == pytest.approx(15.550, abs=0.05)
 
     def test_squares_vs_benford(self):
-        assert chi_square_stat(SQUARES, benford_vector()) == pytest.approx(9.096, abs=0.01)
+        assert chi_square_stat(SQUARES, Benford().pmf()) == pytest.approx(9.096, abs=0.01)
 
     def test_rejects_zero_probability_with_observations(self):
         probs = np.array([0.0] + [0.125] * 8)
@@ -56,7 +63,7 @@ class TestChiSquareStat:
     def test_rejects_empty_histogram(self):
         h = DigitHistogram.from_counts([0] * 9)
         with pytest.raises(ValueError):
-            chi_square_stat(h, benford_vector())
+            chi_square_stat(h, Benford().pmf())
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
@@ -106,16 +113,16 @@ class TestFitTspb:
         # with n = 1e13 the rounded counts are proportional to the law to
         # ~5e-12 in chi-square, and c = 1 or 2 must reach that floor
         n = 10 ** 13
-        counts = [round(n * p) for p in benford_vector()]
+        counts = [round(n * p) for p in Benford().pmf()]
         h = DigitHistogram.from_counts(counts)
         r = fit_tspb(h)
         assert r.chi_square < 1e-10
 
     def test_never_worse_than_benford(self):
         for row in load_survey():
-            h = reconstructed_histogram(row)
+            h = histogram_from_percentages(row.percentages, row.n)
             r = fit_tspb(h)
-            assert r.chi_square <= chi_square_stat(h, benford_vector()) + 1e-9
+            assert r.chi_square <= chi_square_stat(h, Benford().pmf()) + 1e-9
 
     def test_matches_dense_grid_oracle(self):
         _, oracle_val = tspb_dense_grid_min(MIXING.counts)
@@ -124,6 +131,47 @@ class TestFitTspb:
 
     def test_deterministic(self):
         assert fit_tspb(MIXING) == fit_tspb(MIXING)
+
+    def test_rejects_empty_histogram(self):
+        with pytest.raises(ValueError, match="sample_size >= 1"):
+            fit_tspb(DigitHistogram.from_counts([0] * 9))
+
+    # derandomized: random draws hit the narrow-basin miss pinned below in
+    # about 1 run of 50, and the suite must not flake on a known defect
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(st.integers(1, 10 ** 5), st.floats(0.2, 9.5), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    def test_never_worse_than_dense_grid(self, n, c, tspb_shaped, seed):
+        # multinomial histograms drawn from a TSPB law or from a random pmf
+        rng = np.random.default_rng(seed)
+        probs = TSPB(c).pmf() if tspb_shaped else rng.dirichlet(np.ones(9))
+        h = DigitHistogram.from_counts(rng.multinomial(n, probs / probs.sum()))
+        _, grid_min = tspb_dense_grid_min(h.counts, step=1e-3)
+        assert fit_tspb(h).chi_square <= grid_min + 1e-9
+
+    @pytest.mark.xfail(strict=True, reason="the 0.25-step bracket scan misses a "
+                       "basin narrower than two grid steps: chi2 15.17 at c = 1.25 "
+                       "is below 15.26 at c = 1.5, so the minimum 7.88 near c = 1.63 "
+                       "is never refined, and the fit stops at 15.005")
+    def test_finds_a_basin_between_grid_points(self):
+        h = DigitHistogram.from_counts([26620, 16844, 12309, 9249, 7417, 6114, 5201, 4387, 3742])
+        _, grid_min = tspb_dense_grid_min(h.counts, step=1e-3)
+        assert fit_tspb(h).chi_square <= grid_min + 1e-9
+
+    def test_batched_pmf_rows_match_the_law(self):
+        # numpy squares for the scalar exponent 2.0 and takes a square root
+        # for 0.5, where the batch calls pow.  A cell is half a signed sum of
+        # four powers in [0, 1], so the rows agree to one ulp of a power
+        # below 1, np.spacing(0.5), not of the smaller cell
+        grid = np.arange(fitting._C_GRID_STEP, fitting._C_MAX + 1e-12, fitting._C_GRID_STEP)
+        rows = _tspb_probs(grid[:, None])
+        assert rows.shape == (len(grid), 9)
+        for c, row in zip(grid, rows):
+            np.testing.assert_allclose(row, TSPB(c).pmf(), rtol=0, atol=np.spacing(0.5))
+        # the batched objective against chi_square_stat point by point
+        chi2 = fitting._objective(MIXING, _tspb_probs)(grid[:, None])
+        reference = [chi_square_stat(MIXING, TSPB(c).pmf()) for c in grid]
+        np.testing.assert_allclose(chi2, reference, rtol=1e-13, atol=0)
 
 
 class TestFitPb:
@@ -145,13 +193,13 @@ class TestFitPb:
 
     def test_never_worse_than_near_benford_member(self):
         for key in ("mixing", "fibonacci", "lucky", "partition"):
-            h = reconstructed_histogram(survey_row(key))
+            h = _from_percentages(key)
             r = fit_pb(h, m=100)
             ceiling = chi_square_stat(h, pb_vector(1e6, 1.0, 100))
             assert r.chi_square <= ceiling + 1e-9
 
     def test_alpha_cap(self):
-        h = reconstructed_histogram(survey_row("fibonacci"))
+        h = _from_percentages("fibonacci")
         r = fit_pb(h, m=100)
         assert r.model.alpha <= 1e9
 
@@ -205,9 +253,9 @@ class TestLockstepNelderMead:
     exactly."""
 
     @pytest.mark.parametrize("hist,m", [
-        (reconstructed_histogram(survey_row("square")), 100),
-        (reconstructed_histogram(survey_row("mixing")), 100),
-        (reconstructed_histogram(survey_row("catalan")), 5000),
+        (_from_percentages("square"), 100),
+        (_from_percentages("mixing"), 100),
+        (_from_percentages("catalan"), 5000),
         (DigitHistogram.from_counts([0, 0, 5, 0, 3, 0, 0, 1, 0]), 100),  # the 1e300 sentinel
         (DigitHistogram.from_counts([1, 0, 0, 0, 0, 0, 0, 0, 0]), 100),
     ])

@@ -21,14 +21,12 @@ from genbenford import (
     Benford,
     DigitHistogram,
     FitResult,
-    benford_vector,
     chi_square_sf,
     fit_pb,
     fit_tspb,
     histogram_from_percentages,
     model_from_dict,
-    model_from_json,
-    model_to_json,
+    model_to_dict,
     pb_truncation_deficit,
     pb_vector,
     pmf_vector,
@@ -52,7 +50,7 @@ wide_pb_laws = st.builds(
 )
 
 OWN_VECTOR = {
-    Benford: lambda law: benford_vector(),
+    Benford: lambda law: Benford().pmf(),
     TSPB: lambda law: tspb_vector(law.c),
     PB: lambda law: pb_vector(law.alpha, law.beta, law.m),
 }
@@ -63,7 +61,7 @@ fast = settings(max_examples=25, deadline=None, database=None)
 @fast
 @given(laws)
 def test_json_round_trip(law):
-    assert model_from_json(model_to_json(law)) == law
+    assert model_from_dict(json.loads(json.dumps(model_to_dict(law)))) == law
 
 
 @fast
@@ -171,7 +169,7 @@ def test_fit_json_carries_every_field(counts):
         record = r.to_json_dict()
         assert list(record) == [f.name for f in fields(FitResult)]
         assert model_from_dict(record["model"]) == r.model
-        back = json.loads(r.to_json())
+        back = json.loads(json.dumps(record))
         assert model_from_dict(back["model"]) == r.model
         for f in fields(FitResult)[1:]:
             assert back[f.name] == getattr(r, f.name)
@@ -186,7 +184,7 @@ counts = st.lists(st.integers(0, 10 ** 6), min_size=9, max_size=9).filter(any)
 def test_histogram_round_trips_through_csv_and_json(c):
     hist = DigitHistogram.from_counts(c)
     assert DigitHistogram.from_csv(hist.to_csv()) == hist
-    assert DigitHistogram.from_json(hist.to_json()) == hist
+    assert DigitHistogram.from_json_dict(json.loads(json.dumps(hist.to_json_dict()))) == hist
 
 
 @fast

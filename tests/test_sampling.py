@@ -10,15 +10,15 @@ from genbenford import (
     Benford,
     GbmParams,
     adaptive_truncation,
-    benford_vector,
     empirical_digit_pmf,
-    first_digit_of_exponent,
+    first_digit_real,
     gbm_char_roots,
     pmf_vector,
     sample_dp,
     sample_tspp,
     verification_report,
 )
+from genbenford.digits import _digits_from_log10_fractions
 from oracles import dp_cdf, tspp_cdf
 
 
@@ -123,6 +123,11 @@ class TestSampleDp:
         assert stat < 0.01
 
 
+def _sampler_digit(w):
+    """The first digit of 10^w as empirical_digit_pmf reads it off w."""
+    return int(_digits_from_log10_fractions(np.array([w - math.floor(w)]))[0])
+
+
 class TestFirstDigitOfExponent:
     @pytest.mark.parametrize("w,digit", [
         (0.5, 3),         # 10^0.5 = 3.162...
@@ -132,17 +137,14 @@ class TestFirstDigitOfExponent:
         (1.95424, 8),     # 10^0.95424 = 8.99995 < 9; exact floor
     ])
     def test_values(self, w, digit):
-        assert first_digit_of_exponent(w) == digit
+        assert _sampler_digit(w) == digit
+        assert first_digit_real(10 ** w) == digit
 
     def test_boundary_guard_snaps_to_digit(self):
         # frac lands a float rounding error below log10(9): report 9
-        assert first_digit_of_exponent(1.0 + math.log10(9.0)) == 9
-
-    def test_rejects_negative_or_nonfinite(self):
-        with pytest.raises(ValueError):
-            first_digit_of_exponent(-0.5)
-        with pytest.raises(ValueError):
-            first_digit_of_exponent(math.inf)
+        w = 1.0 + math.log10(9.0)
+        assert _sampler_digit(w) == 9
+        assert first_digit_real(10 ** w) == 9
 
 
 class TestEmpiricalDigitPmf:
@@ -163,7 +165,7 @@ class TestEmpiricalDigitPmf:
 
     def test_tspb_c1_is_benford(self):
         h = empirical_digit_pmf(TSPB(c=1.0), 1_000_000, seed=20240811)
-        tv = 0.5 * np.abs(h.frequencies() - benford_vector()).sum()
+        tv = 0.5 * np.abs(h.frequencies() - Benford().pmf()).sum()
         assert tv < 0.005
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 1.5, 2.0, 3.0])

@@ -12,7 +12,6 @@ from genbenford import (
     generate,
     histogram_from_percentages,
     idoneal,
-    is_keith,
     keith,
     lucky,
     parse_values,
@@ -28,6 +27,7 @@ from genbenford import (
 from oracles import (
     bell_binomial,
     fibonacci_list,
+    is_keith,
     keith_numbers_below,
     leading_digit,
     partitions_dp,
@@ -148,19 +148,15 @@ class TestKeith:
         assert tuple(got) == survey_counts("keith")
 
     def test_param_beyond_bundle_raises(self):
-        with pytest.raises(ValueError):
+        # no search extends the bundle: the next Keith number lies past
+        # 10^19, out of any search's reach
+        with pytest.raises(ValueError, match="only 71"):
             keith(72)
 
     def test_spec_rejects_param_beyond_bundle(self):
         assert SequenceSpec("keith", 71).param == 71
         with pytest.raises(ValueError, match="only 71"):
             SequenceSpec("keith", 72)
-
-    def test_search_fallback_is_bounded(self):
-        # no search extends the bundle: the next Keith number lies past
-        # 10^19, out of any search's reach
-        with pytest.raises(ValueError, match="only 71"):
-            keith(72)
 
     def test_is_keith_spot_values(self):
         assert is_keith(14) and is_keith(197) and is_keith(7909)
