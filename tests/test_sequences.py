@@ -148,8 +148,6 @@ class TestKeith:
         assert tuple(got) == survey_counts("keith")
 
     def test_param_beyond_bundle_raises(self):
-        # no search extends the bundle: the next Keith number lies past
-        # 10^19, out of any search's reach
         with pytest.raises(ValueError, match="only 71"):
             keith(72)
 
@@ -157,6 +155,12 @@ class TestKeith:
         assert SequenceSpec("keith", 71).param == 71
         with pytest.raises(ValueError, match="only 71"):
             SequenceSpec("keith", 72)
+
+    def test_search_fallback_is_bounded(self):
+        # no search extends the bundle: the next Keith number lies past
+        # 10^19, out of any search's reach
+        with pytest.raises(ValueError, match="only 71"):
+            keith(72)
 
     def test_is_keith_spot_values(self):
         assert is_keith(14) and is_keith(197) and is_keith(7909)
