@@ -1,7 +1,7 @@
 """Minimum chi-square fits of the generalized laws to real sequences.
 
 For each surveyed sequence the package minimizes the Pearson chi-square
-over the law's parameters (a bracket-scan plus golden-section search for
+over the law's parameters (a golden-section search on every cell of a c-grid for
 TSPB's c; a multistart Nelder-Mead in log space for PB's alpha, beta).
 Degrees of freedom are 8/7/6 for Benford/TSPB/PB.  The striking case is
 the primes: hopeless under Benford, but beautifully fit by PB - until the

@@ -67,6 +67,11 @@ def _first_digits(values: list) -> np.ndarray:
     return digits
 
 
+def _is_integral(v) -> bool:
+    """An integer, or a float with an integral value."""
+    return isinstance(v, Integral) or (isinstance(v, float) and v.is_integer())
+
+
 def first_digit_int(n) -> int:
     """Leading decimal digit of a positive integer, computed exactly."""
     if not isinstance(n, Integral):
@@ -94,7 +99,7 @@ class DigitHistogram:
         if len(self.counts) != 9:
             raise ValueError(f"expected 9 counts, got {len(self.counts)}")
         for c in (*self.counts, self.sample_size):
-            if not (isinstance(c, Integral) or (isinstance(c, float) and c.is_integer())):
+            if not _is_integral(c):
                 raise ValueError(f"counts and sample_size must be integers, got {c!r}")
         counts = tuple(int(c) for c in self.counts)
         for c in counts:
@@ -164,6 +169,8 @@ def histogram_from_percentages(pct: Sequence[float], n: int) -> DigitHistogram:
         raise ValueError(f"expected 9 percentages, got {len(pct)}")
     if any(p < 0 for p in pct):
         raise ValueError("percentages must be non-negative")
+    if not _is_integral(n):
+        raise ValueError(f"sample size must be an integer, got {n!r}")
     n = int(n)
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")

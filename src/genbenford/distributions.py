@@ -165,8 +165,8 @@ def model_from_dict(obj: dict) -> ModelParams:
 def _tspb_probs(c) -> np.ndarray:
     """Unvalidated TSPB pmf, shared by TSPB.pmf and the fitter's objective:
     c is a float, or an array of shape (K, 1) for a (K, 9) result."""
-    lo, hi = _L10[:9], _L10[1:]
-    return 0.5 * (hi ** c - lo ** c - (1.0 - hi) ** c + (1.0 - lo) ** c)
+    p, q = _L10 ** c, (1 - _L10) ** c
+    return 0.5 * (p[..., 1:] - p[..., :9] - q[..., 1:] + q[..., :9])
 
 
 def tspb_vector(c: float) -> np.ndarray:

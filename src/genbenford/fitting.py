@@ -6,17 +6,17 @@ parameters convention, 8 - n_params of the law: 8 for Benford, 7 for
 TSPB, 6 for PB.
 
 Both fitters are deterministic and score points through one batched
-chi-square objective.  The 1-D TSPB search scores its fixed 40-point
-bracket grid in one call and refines each local minimum by golden
-section, one point per call.  The 2-D PB search is a Nelder-Mead
-multistart in (log alpha, log beta) space: 37 fixed starts run a coarse
-pass and the best 3 endpoints are polished, each stage with all its
-simplices in lockstep, one call of the objective per step.  Each simplex
-reaches the point, chi-square and evaluation count that SciPy's
-Nelder-Mead reaches from its start (tests/test_fitting.py checks this).  alpha is capped at 1e9 (the
-chi-square surface goes flat in alpha for near-Benford data, so the cap
-only pins an arbitrarily large estimate; the minimized chi-square is
-unaffected).
+chi-square objective.  The 1-D TSPB search is one golden section run
+on all 40 cells of a 0.25-step c-grid at once, one point per cell in
+each call.  The 2-D PB search is a Nelder-Mead multistart in
+(log alpha, log beta) space: 37 fixed starts run a coarse pass and the
+best 3 endpoints are polished, each stage with all its simplices in
+lockstep, one call of the objective per step.  Each simplex reaches the
+point, chi-square and evaluation count that SciPy's Nelder-Mead reaches
+from its start (tests/test_fitting.py checks this).  alpha is capped at
+1e9 (the chi-square surface goes flat in alpha for near-Benford data, so
+the cap only pins an arbitrarily large estimate; the minimized
+chi-square is unaffected).
 """
 from __future__ import annotations
 
@@ -48,12 +48,14 @@ _ALPHA_CAP = 1e9
 _LOG_ALPHA_CAP = math.log(_ALPHA_CAP)
 _LOG_BETA_CAP = 700.0  # exp() overflow guard only; never binds at an optimum
 
-# c-bracket grid for the 1-D search; two basins are possible because both
-# c = 1 and c = 2 reduce TSPB to Benford.
+# cells of the 1-D search, each refined by golden section: two basins are
+# possible because both c = 1 and c = 2 reduce TSPB to Benford, and a
+# basin may be narrower than a cell
 _C_GRID_STEP = 0.25
 _C_MAX = 10.0
 _C_MIN = 1e-9
 _GOLDEN_TOL = 1e-9
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 _NM_STARTS = [(la, lb) for la in (-1.0, 0.0, 1.0, 2.0, 4.0, 8.0)
               for lb in (-1.0, 0.0, 1.0, 2.0, 4.0, 8.0)]
@@ -150,55 +152,33 @@ def goodness_of_fit(hist: DigitHistogram, model: ModelParams,
     return chi2, df, chi_square_sf(chi2, df)
 
 
-def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float, int]:
-    """Minimize a unimodal f on [lo, hi]; returns (x, f(x), evaluations)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    nev = 2
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-        nev += 1
-    x = x1 if f1 <= f2 else x2
-    return x, min(f1, f2), nev
-
-
 def fit_tspb(hist: DigitHistogram) -> FitResult:
     """Minimize the chi-square over TSPB's shape c in (0, 10].
 
-    Multistart bracket scan at step 0.25 followed by golden-section
-    refinement of every local minimum.
+    One golden section runs on every cell [_C_MIN, 0.25], [0.25, 0.5],
+    ..., [9.75, 10] at once, each step scoring one point per cell in one
+    call.  The 41 cell edges are scored too, so an optimum at a grid
+    point (c = 10 included) is exact.  `evaluations` counts every point
+    scored.
     """
     objective = _objective(hist, _tspb_probs)
-    grid = np.arange(_C_GRID_STEP, _C_MAX + 1e-12, _C_GRID_STEP)
-    vals = objective(grid[:, None]).tolist()
-    nev = len(grid)
-
-    def at(c: float) -> float:  # one point, as a one-row batch
-        nonlocal nev
-        nev += 1
-        return float(objective(np.array([[c]]))[0])
-
-    i_best = int(np.argmin(vals))
-    best_c, best_val = float(grid[i_best]), vals[i_best]
-    v = np.array([math.inf, *vals, math.inf])
-    for i in np.flatnonzero((v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])):  # local minima
-        lo = float(grid[i - 1]) if i > 0 else _C_MIN
-        hi = float(grid[i + 1]) if i + 1 < len(grid) else _C_MAX
-        x, fx, n = _golden_section(at, lo, hi, _GOLDEN_TOL)
-        nev += n
-        if fx < best_val:
-            best_c, best_val = x, fx
-    return FitResult._of(TSPB(c=best_c), best_val, converged=True, evaluations=nev)
+    edges = np.r_[_C_MIN, np.arange(_C_GRID_STEP, _C_MAX + 1e-12, _C_GRID_STEP)]
+    a, b = edges[:-1], edges[1:]
+    x1, x2 = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    f_edges, f1, f2 = np.split(objective(np.r_[edges, x1, x2][:, None]), [len(edges), -len(a)])
+    nev = len(edges) + 2 * len(a)
+    while np.any(b - a > _GOLDEN_TOL):
+        left = f1 <= f2  # the minimum lies in [a, x2], else in [x1, b]
+        a, b = np.where(left, a, x1), np.where(left, x2, b)
+        x = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        fx = objective(x[:, None])
+        nev += len(x)
+        x1, x2, f1, f2 = (np.where(left, x, x2), np.where(left, x1, x),
+                          np.where(left, fx, f2), np.where(left, f1, fx))
+    cs, vals = np.r_[edges, np.where(f1 <= f2, x1, x2)], np.r_[f_edges, np.minimum(f1, f2)]
+    best = int(np.argmin(vals))
+    return FitResult._of(TSPB(c=float(cs[best])), float(vals[best]), converged=True,
+                         evaluations=nev)
 
 
 def _pb_objective(hist: DigitHistogram, m: int):

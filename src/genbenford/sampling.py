@@ -43,6 +43,8 @@ class GbmParams:
     lam: float
 
     def __post_init__(self):
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
         if not (math.isfinite(self.lam) and self.lam > 0):

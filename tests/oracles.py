@@ -7,8 +7,8 @@ pentagonal recurrence, Bell numbers from the binomial convolution instead
 of the triangle, Ulam terms by scanning every candidate instead of keeping
 representation counts, Keith membership from the digit recurrence and Keith
 completeness from a vectorized exhaustive search,
-the 1-D fit check from a dense parameter grid instead of bracketing plus
-golden section, and the PB series from the Hurwitz zeta function in mpmath
+the 1-D fit check from a dense parameter grid instead of a golden section
+on every grid cell, and the PB series from the Hurwitz zeta function in mpmath
 instead of Euler-Maclaurin summation in float64.
 """
 import functools

@@ -464,7 +464,7 @@ class TestExactFormat:
          "p_value: 4.93%\nconverged: True\nevaluations: 1\n"),
         (("--model", "tspb"),
          "source: counts\nmodel: tspb\nc: 2.53958\nchi_square: 9.01359\ndf: 7\n"
-         "p_value: 25.17%\nconverged: True\nevaluations: 216\n"),
+         "p_value: 25.17%\nconverged: True\nevaluations: 1761\n"),
         (("--model", "pb", "--m", "100"),
          "source: counts\nmodel: pb\nalpha: 4.78641\nbeta: 1.83119\nm: 100\n"
          "chi_square: 1.81929\ndf: 6\np_value: 93.55%\nconverged: True\n"

@@ -248,3 +248,12 @@ class TestHistogramFromPercentages:
             histogram_from_percentages([-1.0] + [12.625] * 8, 100)
         with pytest.raises(ValueError):
             histogram_from_percentages([100.0 / 9] * 9, 0)
+        for n in (1000.7, "1000", math.nan, math.inf):
+            with pytest.raises(ValueError, match="sample size must be an integer"):
+                histogram_from_percentages([100.0 / 9] * 9, n)
+
+    def test_accepts_an_integral_float_or_numpy_sample_size(self):
+        pct = [30.1, 17.6, 12.5, 9.7, 7.9, 6.7, 5.8, 5.1, 4.6]
+        expected = histogram_from_percentages(pct, 1000)
+        assert histogram_from_percentages(pct, 1000.0) == expected
+        assert histogram_from_percentages(pct, np.int64(1000)) == expected

@@ -232,3 +232,6 @@ class TestGbmCharRoots:
             GbmParams(mu=0.0, sigma=0.0, lam=1.0)
         with pytest.raises(ValueError):
             GbmParams(mu=0.0, sigma=1.0, lam=-1.0)
+        for mu in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="mu must be finite"):
+                GbmParams(mu=mu, sigma=1.0, lam=1.0)
