@@ -19,7 +19,7 @@ import json
 import sys
 from dataclasses import asdict, fields, replace
 
-from .digits import DigitHistogram
+from .digits import DigitHistogram, _first_digits, histogram
 from .distributions import (
     _LAWS,
     PB,
@@ -31,7 +31,7 @@ from .distributions import (
 )
 from .fitting import FitResult, fit_pb, fit_tspb, goodness_of_fit
 from .reference import load_survey
-from .sequences import SequenceSpec, digit_histogram_of, format_values, generate
+from .sequences import SequenceSpec, digit_histogram_of, format_values, generate, read_values
 from .sampling import verification_report
 
 
@@ -104,17 +104,6 @@ def _sequence_spec(kind, param) -> SequenceSpec:
         raise UsageError(str(e)) from None
 
 
-def _parse_counts(text) -> DigitHistogram:
-    fields = [f.strip() for f in text.split(",")]
-    if len(fields) != 9:
-        raise UsageError(f"--counts needs 9 comma-separated integers, got "
-                         f"{len(fields)}")
-    try:
-        return DigitHistogram.from_counts([int(f) for f in fields])
-    except ValueError as e:  # a field that is not an integer, or a negative count
-        raise UsageError(f"--counts: {e}") from None
-
-
 def _emit(header, rows, fmt):
     """Print one table, CSV or markdown, each cell through str()."""
     if fmt == "csv":
@@ -159,10 +148,12 @@ def cmd_pmf(args) -> int:
 def _histogram_from_args(args) -> tuple[DigitHistogram, str, int | None]:
     """Returns (histogram, label, survey_m) for the requested source."""
     if args.counts is not None:
-        return _parse_counts(args.counts), "counts", None
+        try:
+            return DigitHistogram.from_csv(args.counts), "counts", None
+        except ValueError as e:  # a wrong field count, a non-integer or a negative count
+            raise UsageError(f"--counts: {e}") from None
     if args.file is not None:
-        spec = SequenceSpec("custom_file", path=args.file)
-        return digit_histogram_of(spec), str(args.file), None
+        return histogram(_first_digits(read_values(args.file))), str(args.file), None
     kind, param_text = args.seq
     try:
         param = int(param_text)
@@ -298,8 +289,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_seq(args) -> int:
-    if args.kind == "custom_file":
-        raise UsageError("cannot export sequence kind 'custom_file'")
     spec = _sequence_spec(args.kind, args.param)
     text = format_values(generate(spec))
     if args.out:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -132,7 +132,7 @@ class DigitHistogram:
 
     @classmethod
     def from_csv(cls, line: str) -> "DigitHistogram":
-        fields = [f.strip() for f in line.strip().split(",") if f.strip() != ""]
+        fields = [f.strip() for f in line.split(",")]
         if len(fields) != 9:
             raise ValueError(f"expected 9 comma-separated counts, got {len(fields)}")
         return cls.from_counts([int(f) for f in fields])
@@ -146,15 +146,19 @@ class DigitHistogram:
         return cls(counts, obj.get("n", sum(counts)))
 
 
-def histogram(digits: Iterable[int]) -> DigitHistogram:
-    """Tally a stream of first digits 1..9 into a histogram."""
-    counts = [0] * 9
-    for d in digits:
-        di = int(d)
-        if di != d or not 1 <= di <= 9:
-            raise ValueError(f"digit out of range 1..9: {d!r}")
-        counts[di - 1] += 1
-    return DigitHistogram.from_counts(counts)
+def histogram(digits) -> DigitHistogram:
+    """Tally first digits 1..9, a numpy array or any iterable of ints, bools,
+    integral floats or numpy numbers: the one tally of every digit source.
+    The first value outside 1..9 (2.5, "3", 0, 10**30) raises ValueError."""
+    values = digits if isinstance(digits, np.ndarray) else list(digits)
+    d = np.asarray(values)
+    if d.size and (d.dtype.kind not in "biuf" or not (
+            d.min() >= 1 and d.max() <= 9 and (d.dtype.kind != "f" or (d % 1 == 0).all()))):
+        bad = next(v for v in values if np.asarray(v).dtype.kind not in "biuf"
+                   or not 1 <= v <= 9 or v != int(v))
+        raise ValueError(f"digit out of range 1..9: {bad!r}")
+    return DigitHistogram.from_counts(np.bincount(d.astype(np.intp, copy=False),
+                                                  minlength=10)[1:])
 
 
 def histogram_from_percentages(pct: Sequence[float], n: int) -> DigitHistogram:

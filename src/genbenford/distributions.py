@@ -255,9 +255,9 @@ def _series_differences(alpha, m: int) -> np.ndarray:
 def _pb_probs(a, b, m: int) -> np.ndarray:
     """Unvalidated PB pmf, shared by PB.pmf and the fitter's objective:
     a and b are floats, or arrays of shape (K,) for a (K, 9) result."""
-    # digits on the first axis, so that a and b broadcast over the last
-    p = np.power.outer(_L10, b)
-    return ((a * (p[1:] - p[:9]) + b * _series_differences(a, m).T) / (a + b)).T
+    a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
+    p = _L10 ** b
+    return (a * (p[..., 1:] - p[..., :9]) + b * _series_differences(a[..., 0], m)) / (a + b)
 
 
 def pb_vector(alpha: float, beta: float, m: int = 1000) -> np.ndarray:

@@ -125,17 +125,16 @@ def _pearson(counts: np.ndarray, expected: np.ndarray) -> np.ndarray:
 
 def _objective(hist: DigitHistogram, probs_of):
     """The batched objective, (K, p) parameter points -> K chi-squares,
-    where probs_of maps the points to their (K, 9) pmfs: a non-finite
-    chi-square (from an underflowed or invalid pmf) or a negative cell
-    (from rounding where a series is not valid) mapped to 1e300."""
+    where probs_of maps the points to C-order (K, 9) pmfs (so a row's sum
+    does not depend on K): a non-finite chi-square (an underflowed or invalid
+    pmf) or a negative cell (rounding where a series is not valid) is 1e300."""
     if hist.sample_size < 1:
         raise ValueError("histogram must have sample_size >= 1")
     counts = np.asarray(hist.counts, dtype=float)
 
     def chi_squares(x: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # C order, so that a row's sum does not depend on how many rows
-            expected = hist.sample_size * np.ascontiguousarray(probs_of(x))
+            expected = hist.sample_size * probs_of(x)
             v = _pearson(counts, expected)
         return np.where(np.isfinite(v) & (expected >= 0).all(axis=1), v, 1e300)
 

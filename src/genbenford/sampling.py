@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digits import DigitHistogram, _digits_from_log10_fractions
+from .digits import DigitHistogram, _digits_from_log10_fractions, histogram
 from .distributions import PB, TSPB, Benford, ModelParams, _check_model, pmf_vector
 from .fitting import chi_square_stat
 
@@ -122,9 +122,7 @@ def empirical_digit_pmf(model: ModelParams, n_samples: int, seed: int) -> DigitH
     rng = np.random.default_rng(seed)
     draw = _EXPONENT_SAMPLERS[type(_check_model(model))]
     w = draw(model, rng.random(n_samples))
-    digits = _digits_from_log10_fractions(w - np.floor(w))
-    counts = np.bincount(digits, minlength=10)[1:10]
-    return DigitHistogram(tuple(int(c) for c in counts), n_samples)
+    return histogram(_digits_from_log10_fractions(w - np.floor(w)))
 
 
 @dataclass(frozen=True)

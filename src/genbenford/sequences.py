@@ -3,6 +3,7 @@
 Every integer generator works on Python ints end to end, so values such as
 Catalan(99) or Bell(100) keep their exact leading digit.  Keith and idoneal
 numbers ship as bundled data files; the rest are generated from scratch.
+A user's data file is values (`read_values`), not a sequence kind.
 """
 from __future__ import annotations
 
@@ -10,17 +11,16 @@ import math
 from dataclasses import dataclass
 from itertools import compress, islice
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
-from .digits import DigitHistogram, _first_digits
+from .digits import DigitHistogram, _first_digits, _is_integral, histogram
 from .reference import data_dir
 
 SEQUENCE_KINDS = (
     "squares", "cubes", "square_roots", "primes_below", "pentagonal",
-    "fibonacci", "catalan", "bell", "partition", "lucky", "ulam", "keith",
-    "idoneal", "custom_file",
+    "fibonacci", "catalan", "bell", "partition", "lucky", "ulam", "keith", "idoneal",
 )
 _IDONEAL_COUNT = 65  # the numbers in data/idoneal.txt
 _KEITH_COUNT = 71  # the numbers in data/keith.txt
@@ -30,7 +30,7 @@ __all__ = [
     "SEQUENCE_KINDS",
     "generate",
     "digit_histogram_of",
-    *SEQUENCE_KINDS[:-1],  # the generators: every kind but custom_file
+    *SEQUENCE_KINDS,  # the generators
     "parse_values",
     "read_values",
     "format_values",
@@ -39,25 +39,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """Which sequence to generate: a kind plus its count or upper bound.
+    """Which sequence to generate: one of SEQUENCE_KINDS plus an integer
+    count or upper bound (an integral float is stored as an int).
 
     `param` counts terms (keith: 1..71, the bundled numbers) and is an
     exclusive upper bound for primes_below.  idoneal takes 0 or 65, both
-    meaning the 65 bundled numbers, and stores 65; custom_file reads `path`.
+    meaning the 65 bundled numbers, and stores 65.
     """
 
     kind: str
     param: int = 0
-    path: Optional[Path] = None
 
     def __post_init__(self):
         if self.kind not in SEQUENCE_KINDS:
             raise ValueError(f"unknown sequence kind {self.kind!r}; choose "
                              f"from {', '.join(SEQUENCE_KINDS)}")
-        if self.kind == "custom_file":
-            if self.path is None:
-                raise ValueError("custom_file needs a path")
-        elif self.kind == "idoneal":
+        if not _is_integral(self.param):
+            raise ValueError(f"param must be an integer, got {self.param!r}")
+        object.__setattr__(self, "param", int(self.param))
+        if self.kind == "idoneal":
             if self.param not in (0, _IDONEAL_COUNT):
                 raise ValueError(f"param must be 0 or {_IDONEAL_COUNT} for idoneal, "
                                  f"got {self.param}")
@@ -213,7 +213,7 @@ def idoneal() -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# custom files: one value per line, unbounded decimal integers or reals;
+# data files: one value per line, unbounded decimal integers or reals;
 # blank lines and '#' comments ignored.  Python refuses int <-> str
 # conversions past its digit limit (4,300 digits by default), so longer
 # integers are converted in halves.
@@ -265,24 +265,20 @@ def format_values(values) -> str:
 
 
 def generate(spec: SequenceSpec):
-    """Yield the values described by `spec` (ints, or floats for
-    square_roots and real-valued custom files)."""
+    """Yield the values described by `spec` (ints, or floats for square_roots)."""
     if spec.kind == "idoneal":
         return idoneal()
-    if spec.kind == "custom_file":
-        return read_values(spec.path)
     # every other kind is this module's generator of that name, looked up
     # at call time so that a rebound module attribute takes effect
     return globals()[spec.kind](spec.param)
 
 
-_HISTOGRAM_CHUNK = 256  # values tallied at a time: no sequence is held whole
+_HISTOGRAM_CHUNK = 256  # values read at a time: a sequence is held only as digits
 
 
 def digit_histogram_of(spec: SequenceSpec) -> DigitHistogram:
     """Generate the sequence and tally its first digits."""
     values = iter(generate(spec))
-    counts = np.zeros(10, dtype=np.int64)
-    while chunk := list(islice(values, _HISTOGRAM_CHUNK)):
-        counts += np.bincount(_first_digits(chunk), minlength=10)
-    return DigitHistogram.from_counts(counts[1:])
+    chunks = iter(lambda: list(islice(values, _HISTOGRAM_CHUNK)), [])
+    digits = [_first_digits(chunk).astype(np.int8) for chunk in chunks]
+    return histogram(np.concatenate([np.empty(0, np.int8), *digits]))

@@ -358,7 +358,7 @@ class TestExitCodes:
         assert "--m" in err
 
     @pytest.mark.parametrize("counts", ["1,2,3,4,5,6,7,8,-1", "0,0,0,0,0,0,0,0,0",
-                                        "1,2,3,4,5,6,7,8,x"])
+                                        "1,2,3,4,5,6,7,8,x", "1,,2,3,4,5,6,7,8,9"])
     def test_bad_counts_name_the_flag(self, capsys, counts):
         code, _, err = run(capsys, "fit", "--counts", counts, "--model", "benford")
         assert code == 2

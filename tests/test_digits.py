@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import mpmath
 import numpy as np
@@ -145,10 +146,50 @@ class TestHistogram:
     def test_one_of_each(self):
         assert histogram(range(1, 10)).counts == (1,) * 9
 
-    @pytest.mark.parametrize("bad", [0, 10, -3])
+    @pytest.mark.parametrize("bad", [0, 10, -3, 2.5, "3", 10 ** 30])
     def test_rejects_out_of_range(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(f"digit out of range 1..9: {bad!r}")):
             histogram([1, 2, bad])
+
+    @pytest.mark.parametrize("digits", [
+        np.array([1, 9, 9, 3], dtype=np.int8),
+        np.array([1.0, 9.0, 9.0, 3.0]),
+        (d for d in [1, 9, 9, 3]),
+    ], ids=["int8", "float", "generator"])
+    def test_arrays_and_generators(self, digits):
+        assert histogram(digits).counts == (1, 0, 1, 0, 0, 0, 0, 0, 2)
+
+    def test_empty_array(self):
+        assert histogram(np.array([], dtype=np.int8)).counts == (0,) * 9
+
+    @staticmethod
+    def _loop_tally(digits):
+        """The reference: one value at a time, each through int()."""
+        counts = [0] * 9
+        for d in digits:
+            di = int(d)
+            if di != d or not 1 <= di <= 9:
+                raise ValueError(f"digit out of range 1..9: {d!r}")
+            counts[di - 1] += 1
+        return tuple(counts)
+
+    @pytest.mark.parametrize("digits", [
+        [True, 2, 3.0, np.int64(4), np.float32(5.0), np.uint8(9), np.True_],
+        [1, 2, np.False_], [True, False], np.array([True, True]), np.array([True, False]),
+        [1, 2 ** 63], [1, -2 ** 63 - 1], [3, np.float64(2.5)], np.array([1, 2.5]),
+        np.array([1, 10], dtype=np.uint64), [np.int8(-1)], [9.0, 9.5, 0],
+        np.arange(1, 10, dtype=np.int16), np.arange(1.0, 10.0, dtype=np.float16),
+    ], ids=lambda digits: repr(list(digits)))
+    def test_matches_the_loop_tally(self, digits):
+        # the same ints, bools, floats and numpy numbers accepted, and the
+        # same first value named when one is rejected
+        try:
+            expected = self._loop_tally(digits)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                histogram(digits)
+        else:
+            assert histogram(digits).counts == expected
 
 
 class TestDigitHistogram:
@@ -176,6 +217,14 @@ class TestDigitHistogram:
     def test_csv_rejects_wrong_arity(self):
         with pytest.raises(ValueError):
             DigitHistogram.from_csv("1,2,3")
+
+    @pytest.mark.parametrize("line", ["1,,2,3,4,5,6,7,8,9", "1,2,3,4,5,6,7,8,9,",
+                                      "1,,3,4,5,6,7,8,9"])
+    def test_csv_rejects_an_empty_field(self, line):
+        # every comma separates a field: an empty one is not skipped, which
+        # would move each count after it to the wrong digit
+        with pytest.raises(ValueError):
+            DigitHistogram.from_csv(line)
 
     def test_json_round_trip(self):
         h = DigitHistogram.from_counts([1, 0, 0, 2, 0, 0, 0, 0, 0])

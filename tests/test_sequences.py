@@ -1,6 +1,7 @@
 import pytest
 
 from genbenford import (
+    SEQUENCE_KINDS,
     SequenceSpec,
     bell,
     catalan,
@@ -8,8 +9,10 @@ from genbenford import (
     digit_histogram_of,
     fibonacci,
     first_digit_int,
+    first_digit_real,
     format_values,
     generate,
+    histogram,
     histogram_from_percentages,
     idoneal,
     keith,
@@ -24,6 +27,7 @@ from genbenford import (
     survey_row,
     ulam,
 )
+from genbenford.digits import _first_digits
 from oracles import (
     bell_binomial,
     fibonacci_list,
@@ -34,6 +38,14 @@ from oracles import (
     sieve_primes,
     ulam_by_definition,
 )
+
+
+# every kind, past one 256-value chunk where the kind has that many values
+EVERY_KIND = [
+    ("squares", 300), ("cubes", 300), ("square_roots", 300), ("primes_below", 3000),
+    ("pentagonal", 300), ("fibonacci", 300), ("catalan", 300), ("bell", 300),
+    ("partition", 300), ("lucky", 300), ("ulam", 300), ("keith", 71), ("idoneal", 65),
+]
 
 
 def survey_counts(key):
@@ -234,6 +246,16 @@ class TestDigitHistogramOf:
         assert h.counts == (30, 15, 8, 14, 11, 8, 4, 7, 3)
         assert h.counts != survey_counts("bell")
 
+    def test_every_kind_has_a_case(self):
+        assert [kind for kind, _ in EVERY_KIND] == list(SEQUENCE_KINDS)
+
+    @pytest.mark.parametrize("kind,param", EVERY_KIND)
+    def test_matches_a_tally_of_each_value(self, kind, param):
+        spec = SequenceSpec(kind, param)
+        expected = histogram(first_digit_real(v) if isinstance(v, float) else
+                             first_digit_int(v) for v in generate(spec))
+        assert digit_histogram_of(spec).counts == expected.counts
+
     def test_square_roots_digit_counts(self):
         # exact oracle: first digit of sqrt(n) is d iff d^2 <= n < (d+1)^2,
         # so counts below 100 are 2d+1
@@ -262,8 +284,22 @@ class TestSpecAndCustomFiles:
         with pytest.raises(ValueError):
             SequenceSpec("squares", 0)
 
-    def test_custom_file_requires_path(self):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("kind,param", [("squares", 2.5), ("keith", 2.5),
+                                            ("idoneal", 65.5), ("squares", "10")])
+    def test_rejects_non_integral_param(self, kind, param):
+        # the spec, not the generator, rejects it, naming the field
+        with pytest.raises(ValueError, match="param must be an integer"):
+            SequenceSpec(kind, param)
+
+    def test_stores_an_integral_float_param_as_an_int(self):
+        spec = SequenceSpec("squares", 10.0)
+        assert spec.param == 10 and type(spec.param) is int
+        assert digit_histogram_of(spec).sample_size == 10
+
+    def test_custom_file_is_an_unknown_kind(self):
+        # a data file is values (read_values), not a sequence kind
+        assert "custom_file" not in SEQUENCE_KINDS
+        with pytest.raises(ValueError, match="unknown sequence kind 'custom_file'"):
             SequenceSpec("custom_file")
 
     def test_custom_file_round_trip(self, tmp_path):
@@ -277,7 +313,7 @@ class TestSpecAndCustomFiles:
         )
         values = read_values(path)
         assert values == [354224848179261915075, 7.0710678, 97]
-        h = digit_histogram_of(SequenceSpec("custom_file", path=path))
+        h = histogram(_first_digits(values))  # what fit --file tallies
         assert h.counts == (0, 0, 1, 0, 0, 0, 1, 0, 1)
 
     def test_integers_past_the_str_limit_round_trip(self):
@@ -298,7 +334,7 @@ class TestSpecAndCustomFiles:
 
     def test_missing_custom_file(self, tmp_path):
         with pytest.raises(OSError):
-            digit_histogram_of(SequenceSpec("custom_file", path=tmp_path / "nope"))
+            read_values(tmp_path / "nope")
 
     def test_square_roots_yield_floats(self):
         values = list(square_roots(5))
