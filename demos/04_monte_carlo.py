@@ -25,7 +25,7 @@ from genbenford import (
 
 # A single draw, step by step: uniform -> exponent -> first digit of 10^W.
 u = 0.3
-w = sample_tspp(1.0, 2.5, u)
+w = sample_tspp(2.5, u)
 print(f"u = {u} -> exponent W = {w:.6f} -> 10^W = {10 ** w:.4f} "
       f"-> first digit {first_digit_real(10 ** w)}\n")
 

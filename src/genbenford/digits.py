@@ -93,29 +93,26 @@ class DigitHistogram:
     """Observed counts of first digits 1..9 for a dataset."""
 
     counts: tuple
-    sample_size: int
 
     def __post_init__(self):
         if len(self.counts) != 9:
             raise ValueError(f"expected 9 counts, got {len(self.counts)}")
-        for c in (*self.counts, self.sample_size):
+        for c in self.counts:
             if not _is_integral(c):
-                raise ValueError(f"counts and sample_size must be integers, got {c!r}")
+                raise ValueError(f"counts must be integers, got {c!r}")
         counts = tuple(int(c) for c in self.counts)
         for c in counts:
             if c < 0:
                 raise ValueError(f"negative count {c}")
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "sample_size", int(self.sample_size))
-        if sum(counts) != self.sample_size:
-            raise ValueError(
-                f"counts sum to {sum(counts)}, not sample_size={self.sample_size}"
-            )
+
+    @property
+    def sample_size(self) -> int:
+        return sum(self.counts)
 
     @classmethod
     def from_counts(cls, counts: Sequence[int]) -> "DigitHistogram":
-        counts = tuple(counts)
-        return cls(counts, sum(counts))
+        return cls(counts)
 
     def frequencies(self) -> np.ndarray:
         """Counts over sample_size; all zeros for an empty histogram."""
@@ -124,26 +121,13 @@ class DigitHistogram:
     def percentages(self) -> np.ndarray:
         return 100.0 * self.frequencies()
 
-    # -- serialization ------------------------------------------------------
-
-    def to_csv(self) -> str:
-        """One CSV row holding the 9 counts."""
-        return ",".join(str(c) for c in self.counts)
-
     @classmethod
     def from_csv(cls, line: str) -> "DigitHistogram":
+        """One CSV row holding the 9 counts: the reader of `fit --counts`."""
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != 9:
             raise ValueError(f"expected 9 comma-separated counts, got {len(fields)}")
         return cls.from_counts([int(f) for f in fields])
-
-    def to_json_dict(self) -> dict:
-        return {"counts": list(self.counts), "n": self.sample_size}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "DigitHistogram":
-        counts = tuple(obj["counts"])
-        return cls(counts, obj.get("n", sum(counts)))
 
 
 def histogram(digits) -> DigitHistogram:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import ClassVar, Union, get_args
 
@@ -50,7 +50,6 @@ __all__ = [
     "adaptive_truncation",
     "chi_square_sf",
     "model_to_dict",
-    "model_from_dict",
 ]
 
 # log10(1), ..., log10(10)
@@ -137,7 +136,6 @@ ModelParams = Union[Benford, TSPB, PB]
 # JSON tag -> law; the dataclass fields are the serialized parameters
 _LAW_TYPES = get_args(ModelParams)
 _LAWS = {law.tag: law for law in _LAW_TYPES}
-_COERCE = {"float": float, "int": int}  # field annotation -> JSON value coercion
 
 
 def _check_model(model) -> ModelParams:
@@ -148,14 +146,6 @@ def _check_model(model) -> ModelParams:
 
 def model_to_dict(model: ModelParams) -> dict:
     return {"model": _check_model(model).tag, **asdict(model)}
-
-
-def model_from_dict(obj: dict) -> ModelParams:
-    law = _LAWS.get(obj.get("model"))
-    if law is None:
-        raise ValueError(f"unknown model tag: {obj.get('model')!r}")
-    return law(**{f.name: _COERCE[f.type](obj[f.name]) for f in fields(law)
-                  if f.name in obj or f.default is MISSING})
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +261,10 @@ def pb_truncation_deficit(alpha: float, beta: float, m: int) -> float:
     return beta / (alpha + beta) * float(m + 1) ** (-alpha)
 
 
-def adaptive_truncation(alpha: float, beta: float, tol: float = 1e-10) -> int:
-    """Smallest truncation index whose mass deficit drops below tol."""
+def adaptive_truncation(alpha: float, beta: float) -> int:
+    """Smallest truncation index whose mass deficit drops below 1e-10."""
     PB(alpha, beta)  # the law's own check of alpha and beta
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
+    tol = 1e-10
     # deficit < tol  <=>  m + 1 > (beta / (alpha+beta) / tol)^(1/alpha)
     try:
         bound = (beta / (alpha + beta) / tol) ** (1.0 / alpha)

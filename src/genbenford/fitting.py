@@ -128,13 +128,14 @@ def _objective(hist: DigitHistogram, probs_of):
     where probs_of maps the points to C-order (K, 9) pmfs (so a row's sum
     does not depend on K): a non-finite chi-square (an underflowed or invalid
     pmf) or a negative cell (rounding where a series is not valid) is 1e300."""
-    if hist.sample_size < 1:
+    n = hist.sample_size
+    if n < 1:
         raise ValueError("histogram must have sample_size >= 1")
     counts = np.asarray(hist.counts, dtype=float)
 
     def chi_squares(x: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            expected = hist.sample_size * probs_of(x)
+            expected = n * probs_of(x)
             v = _pearson(counts, expected)
         return np.where(np.isfinite(v) & (expected >= 0).all(axis=1), v, 1e300)
 

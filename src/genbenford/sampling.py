@@ -73,29 +73,24 @@ def _as_unit_interval(u):
     return arr
 
 
-def _maybe_scalar(arr):  # a float for a scalar u, an array for an array
-    return float(arr) if arr.ndim == 0 else arr
-
-
-def sample_tspp(alpha: float, c: float, u):
-    """Inverse-CDF draw from the two-sided power law on (0, 2) with mode at
-    alpha and shape c; u is one or many uniform(0,1) variates.
+def sample_tspp(c: float, u) -> np.ndarray:
+    """Inverse-CDF draw from TSPP(1, c), the two-sided power law on (0, 2)
+    with mode 1 and shape c; u is one or many uniform(0,1) variates, and a
+    scalar u gives a 0-d array.
 
     TSPP(1, 1) is uniform(0, 2); TSPP(1, 2) is triangular(0, 1, 2).
     """
-    if not (0.0 < alpha < 2.0):
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
     TSPB(c)  # the law's own check of c
     arr = _as_unit_interval(u)
-    lower = alpha * (2.0 * arr / alpha) ** (1.0 / c)
-    upper = 2.0 - (2.0 - alpha) * (2.0 * (1.0 - arr) / (2.0 - alpha)) ** (1.0 / c)
-    return _maybe_scalar(np.where(arr <= alpha / 2.0, lower, upper))
+    lower = (2.0 * arr) ** (1.0 / c)
+    upper = 2.0 - (2.0 * (1.0 - arr)) ** (1.0 / c)
+    return np.where(arr <= 0.5, lower, upper)
 
 
-def sample_dp(alpha: float, beta: float, u):
+def sample_dp(alpha: float, beta: float, u) -> np.ndarray:
     """Inverse-CDF draw from the double Pareto law DP(1, alpha, beta):
     density ~ w^(beta-1) below 1 and w^(-alpha-1) above 1, with
-    P(W <= 1) = alpha / (alpha + beta)."""
+    P(W <= 1) = alpha / (alpha + beta); a scalar u gives a 0-d array."""
     PB(alpha, beta)  # the law's own check of alpha and beta
     arr = _as_unit_interval(u)
     # 1 + beta/alpha, not (alpha + beta)/alpha: the sum may overflow
@@ -103,13 +98,13 @@ def sample_dp(alpha: float, beta: float, u):
     lower = ((1.0 + beta / alpha) * arr) ** (1.0 / beta)
     with np.errstate(divide="ignore"):
         upper = ((1.0 + alpha / beta) * (1.0 - arr)) ** (-1.0 / alpha)
-    return _maybe_scalar(np.where(arr < split, lower, upper))
+    return np.where(arr < split, lower, upper)
 
 
 # law -> draw of its generating exponent W from uniform variates u
 _EXPONENT_SAMPLERS = {
     Benford: lambda model, u: u,
-    TSPB: lambda model, u: sample_tspp(1.0, model.c, u),
+    TSPB: lambda model, u: sample_tspp(model.c, u),
     PB: lambda model, u: sample_dp(model.alpha, model.beta, u),
 }
 
@@ -141,8 +136,8 @@ class VerificationReport:
     def max_abs_z(self) -> float:
         return max(abs(z) for z in self.z_scores)
 
-    def passed(self, z_limit: float = 4.0) -> bool:
-        return self.max_abs_z < z_limit
+    def passed(self) -> bool:
+        return self.max_abs_z < 4.0
 
 
 def verification_report(model: ModelParams, n_samples: int, seed: int) -> VerificationReport:

@@ -241,6 +241,12 @@ class TestTables:
         code, _, err = run(capsys, "tables", "--rows", "nope")
         assert code == 2
 
+    def test_empty_rows_is_usage_error(self, capsys):
+        # an empty list names one empty key, as "square," does
+        code, out, err = run(capsys, "tables", "--rows", "")
+        assert (code, out) == (2, "")
+        assert "unknown survey keys" in err
+
 
 class TestVerify:
     def test_tspb_pass(self, capsys):
@@ -364,6 +370,27 @@ class TestExitCodes:
         assert code == 2
         assert "--counts" in err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (("pmf", "--model", "benford", "--c", "3", "--m", "5"), "--c"),
+        (("pmf", "--model", "tspb", "--c", "2", "--beta", "1"), "--beta"),
+        (("verify", "--model", "benford", "--c", "3", "--n", "1000"), "--c"),
+        (("verify", "--model", "tspb", "--c", "2", "--alpha", "1", "--n", "1000"), "--alpha"),
+    ])
+    def test_law_flag_the_law_lacks_is_usage_error(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"{flag} does not apply to --model" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--counts", MIXING_COUNTS, "--model", "tspb", "--c", "3"),
+        ("fit", "--counts", MIXING_COUNTS, "--model", "pb", "--alpha", "2", "--beta", "1"),
+        ("pmf", "--mod", "benford"),
+        ("tables", "--row", "square"),
+    ])
+    def test_unread_or_abbreviated_flag_is_usage_error(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (2, "")
+
     def test_negative_seed_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "--model", "benford", "--n", "1000",
                          "--seed", "-1")
@@ -385,6 +412,15 @@ class TestExitCodes:
                            "--format", "json")
         assert code == 0
         assert json.loads(out)["chi_square"] == pytest.approx(1 / math.log10(8 / 7) - 1)
+
+
+@pytest.mark.parametrize("command", ["pmf", "fit", "tables", "verify", "seq"])
+def test_help_exits_0(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    assert out.startswith(f"usage: genbenford {command}")
+    # fit estimates the law's parameters: it takes none of them as flags
+    assert ("--c C" in out) == (command in ("pmf", "verify"))
 
 
 def test_tables_adaptive_m_matches_fit(capsys):

@@ -21,7 +21,6 @@ from genbenford import (
     chi_square_sf,
     chi_square_stat,
     histogram,
-    model_from_dict,
     model_to_dict,
     pb_truncation_deficit,
     pb_vector,
@@ -212,14 +211,12 @@ class TestModels:
     @pytest.mark.parametrize("model", [Benford(), TSPB(c=2.5),
                                        PB(alpha=4.7, beta=1.8, m=100)])
     def test_json_round_trip(self, model):
-        assert model_from_dict(json.loads(json.dumps(model_to_dict(model)))) == model
+        # the JSON form is the law's tag and its fields, enough to rebuild it
+        rec = json.loads(json.dumps(model_to_dict(model)))
+        assert dist._LAWS[rec.pop("model")](**rec) == model
 
     def test_default_truncation(self):
         assert PB(alpha=1.0, beta=1.0).m == 1000
-
-    def test_from_dict_rejects_unknown_tag(self):
-        with pytest.raises(ValueError):
-            model_from_dict({"model": "zipf"})
 
     @pytest.mark.parametrize("bad", [dict(c=0.0), dict(c=-3.0), dict(c=math.nan)])
     def test_tspb_validation(self, bad):
@@ -231,22 +228,6 @@ class TestModels:
             PB(alpha=1.0, beta=1.0, m=0)
         with pytest.raises(ValueError):
             PB(alpha=-1.0, beta=1.0)
-
-
-class TestModelFromDict:
-    def test_coerces_parameters(self):
-        assert model_from_dict({"model": "tspb", "c": "2.5"}) == TSPB(2.5)
-        pb = model_from_dict({"model": "pb", "alpha": "2", "beta": 1, "m": "50"})
-        assert pb == PB(2.0, 1.0, 50)
-        assert isinstance(pb.alpha, float) and isinstance(pb.m, int)
-
-    def test_missing_m_defaults_to_1000(self):
-        assert model_from_dict({"model": "pb", "alpha": 2.0, "beta": 1.0}).m == 1000
-
-    def test_unknown_or_missing_tag(self):
-        for obj in ({"model": "zipf"}, {"c": 2.0}):
-            with pytest.raises(ValueError, match="unknown model tag"):
-                model_from_dict(obj)
 
 
 def test_import_leaves_mpmath_unloaded():

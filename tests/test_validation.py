@@ -55,7 +55,7 @@ def _error(f, *args):
 def test_c_is_checked_by_tspb_alone(c):
     want = _error(TSPB, c)
     assert _error(tspb_vector, c) == want
-    assert _error(sample_tspp, 1.0, c, 0.5) == want
+    assert _error(sample_tspp, c, 0.5) == want
 
 
 @checked
@@ -123,11 +123,6 @@ def test_adaptive_truncation_names_nan_alpha():
 def test_adaptive_truncation_names_infinite_beta():
     with pytest.raises(ValueError, match="beta must be a positive real, got inf"):
         adaptive_truncation(2.0, math.inf)
-
-
-def test_adaptive_truncation_names_nan_tol():
-    with pytest.raises(ValueError, match="tol must be > 0"):
-        adaptive_truncation(2.0, 1.0, tol=math.nan)
 
 
 def test_adaptive_truncation_of_subnormal_law_needs_too_many_terms():
