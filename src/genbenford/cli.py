@@ -208,7 +208,8 @@ def cmd_tables(args) -> int:
         wanted = {k.strip() for k in args.rows.split(",")}
         unknown = wanted - {r.key for r in rows}
         if unknown:
-            raise UsageError(f"unknown survey keys: {', '.join(sorted(unknown))}")
+            named = (k or "''" for k in sorted(unknown))
+            raise UsageError(f"unknown survey keys: {', '.join(named)}")
         rows = [r for r in rows if r.key in wanted]
     if args.m not in ("adaptive", "survey"):
         _resolve_m(args.m)  # a bad --m is a usage error, not a failure per row

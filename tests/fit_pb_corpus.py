@@ -1,0 +1,88 @@
+"""Certify fit_pb's multistart against the dense-grid oracle on a fixed corpus.
+
+    PYTHONPATH=src python tests/fit_pb_corpus.py
+
+Fits 657 fixed-seed histograms with fit_pb and with
+oracles.pb_dense_grid_min, and exits 1 if any fit_pb chi-square is worse
+than the oracle's by more than 1e-9.  The corpus is the 19 survey rows at
+m = 100, 1000 and 5000, then multinomial draws from PB, TSPB, Dirichlet and
+Benford pmfs with n from 25 to 1e6, then 300 histograms of n <= 40 with
+emptied cells; each draw's m cycles through 100, 1000 and 5000.  It prints
+each failing fit, then the total fit_pb evaluations.  pytest does not
+collect this file: the run takes a few minutes.
+"""
+import sys
+import time
+
+import numpy as np
+
+from oracles import pb_dense_grid_min
+
+from genbenford import PB, TSPB, Benford, DigitHistogram, fit_pb, load_survey
+
+TOLERANCE = 1e-9
+MS = (100, 1000, 5000)
+
+
+def _draw_pmf(rng, kind):
+    if kind == "pb":
+        return PB(float(np.exp(rng.uniform(-3, 8))), float(np.exp(rng.uniform(-3, 6))),
+                  int(rng.choice(MS))).pmf()
+    if kind == "tspb":
+        return TSPB(float(rng.uniform(0.1, 10))).pmf()
+    if kind == "dirichlet":
+        return rng.dirichlet(np.full(9, np.exp(rng.uniform(-1, 3))))
+    return Benford().pmf()
+
+
+def _multinomial(rng, n, pmf):
+    return rng.multinomial(n, pmf / pmf.sum()).tolist()
+
+
+def corpus():
+    """(label, counts, m) for every histogram of the corpus, in a fixed order."""
+    for row in load_survey():
+        for m in MS:
+            yield f"survey {row.key}", list(row.histogram().counts), m
+    rng = np.random.default_rng(20240811)
+    draws = [("pb", 150), ("tspb", 60), ("dirichlet", 60), ("benford", 30)]
+    i = 0
+    for kind, count in draws:
+        for _ in range(count):
+            n = int(round(10 ** rng.uniform(np.log10(25), 6)))
+            yield f"{kind} n={n}", _multinomial(rng, n, _draw_pmf(rng, kind)), MS[i % 3]
+            i += 1
+    for _ in range(300):
+        kind = rng.choice(["pb", "tspb", "dirichlet", "benford"])
+        counts = np.array(_multinomial(rng, int(rng.integers(1, 41)), _draw_pmf(rng, kind)))
+        counts[rng.choice(9, size=int(rng.integers(1, 8)), replace=False)] = 0
+        if counts.sum() == 0:
+            counts[int(rng.integers(9))] = 1
+        yield f"small {kind} n={counts.sum()}", counts.tolist(), MS[i % 3]
+        i += 1
+
+
+def main() -> int:
+    start = time.perf_counter()
+    fits = worse = evaluations = 0
+    largest = -np.inf
+    for label, counts, m in corpus():
+        fit = fit_pb(DigitHistogram.from_counts(counts), m=m)
+        oracle = pb_dense_grid_min(counts, m)
+        excess = fit.chi_square - oracle
+        fits += 1
+        evaluations += fit.evaluations
+        largest = max(largest, excess)
+        if excess > TOLERANCE:
+            worse += 1
+            print(f"WORSE {label} m={m} counts={counts}: fit_pb {fit.chi_square!r}, "
+                  f"oracle {oracle!r}")
+    print(f"{fits} histograms, {worse} fits worse than the oracle by more than "
+          f"{TOLERANCE:g} (largest excess {largest:.3g})")
+    print(f"fit_pb evaluations: {evaluations}")
+    print(f"time: {time.perf_counter() - start:.1f} s")
+    return 1 if worse else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

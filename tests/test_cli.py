@@ -247,6 +247,11 @@ class TestTables:
         assert (code, out) == (2, "")
         assert "unknown survey keys" in err
 
+    @pytest.mark.parametrize("rows", ["square,", "", " , square"])
+    def test_empty_row_key_is_named(self, capsys, rows):
+        code, out, err = run(capsys, "tables", "--rows", rows)
+        assert (code, out, err) == (2, "", "error: unknown survey keys: ''\n")
+
 
 class TestVerify:
     def test_tspb_pass(self, capsys):
@@ -504,7 +509,7 @@ class TestExactFormat:
         (("--model", "pb", "--m", "100"),
          "source: counts\nmodel: pb\nalpha: 4.78641\nbeta: 1.83119\nm: 100\n"
          "chi_square: 1.81929\ndf: 6\np_value: 93.55%\nconverged: True\n"
-         "evaluations: 4480\n"),
+         "evaluations: 1863\n"),
     ])
     def test_fit_markdown(self, capsys, argv, expected):
         code, out, err = run(capsys, "fit", "--counts", MIXING_COUNTS, *argv)

@@ -23,7 +23,7 @@ from genbenford import (
     pb_vector,
     survey_row,
 )
-from oracles import tspb_dense_grid_min
+from oracles import pb_dense_grid_min, tspb_dense_grid_min
 
 MIXING = DigitHistogram.from_counts([175, 90, 71, 61, 47, 48, 50, 41, 35])
 SQUARES = DigitHistogram.from_counts([21, 14, 12, 12, 9, 9, 8, 7, 8])
@@ -225,6 +225,23 @@ class TestFitPb:
     def test_rejects_empty_histogram(self):
         with pytest.raises(ValueError):
             fit_pb(DigitHistogram.from_counts([0] * 9), m=100)
+
+    # derandomized, so that the 6 draws are the same on every run
+    @settings(max_examples=6, deadline=None, database=None, derandomize=True)
+    @given(st.integers(25, 10 ** 6), st.floats(-3, 8), st.floats(-3, 6), st.booleans(),
+           st.sampled_from([100, 1000, 5000]), st.integers(0, 2 ** 32 - 1))
+    def test_never_worse_than_dense_grid(self, n, log_alpha, log_beta, pb_shaped, m, seed):
+        # multinomial histograms drawn from a PB law or from a random pmf
+        rng = np.random.default_rng(seed)
+        probs = (PB(math.exp(log_alpha), math.exp(log_beta), m).pmf() if pb_shaped
+                 else rng.dirichlet(np.ones(9)))
+        h = DigitHistogram.from_counts(rng.multinomial(n, probs / probs.sum()))
+        assert fit_pb(h, m).chi_square <= pb_dense_grid_min(h.counts, m) + 1e-9
+
+    def test_survey_evaluations_stay_in_budget(self, fits):
+        # a work counter, not a timing: the 19 survey fits score 35,565 points,
+        # so a wider start grid or a larger coarse budget fails here
+        assert sum(f["pb"].evaluations for f in fits.values()) <= 40_000
 
 
 class TestFitResultSerialization:
