@@ -29,7 +29,7 @@ from .distributions import (
     pb_truncation_deficit,
     pmf_vector,
 )
-from .fitting import FitResult, fit_pb, fit_tspb, goodness_of_fit
+from .fitting import FitResult, chi_square_stat, fit_pb, fit_tspb
 from .reference import load_survey
 from .sequences import SequenceSpec, digit_histogram_of, format_values, generate, read_values
 from .sampling import verification_report
@@ -59,20 +59,25 @@ def _law(law, **params):
         raise UsageError(f"--{e}") from None
 
 
-def _resolve_m(mflag, survey_m=None):
-    """--m given as an integer or 'survey' (the bundled value for the
-    sequence); callers resolve 'adaptive' first, since it needs a law."""
-    if mflag == "survey":
-        if survey_m is None:
-            raise UsageError("--m survey only applies when fitting a surveyed "
-                             "sequence via --seq")
-        return survey_m
+def _m_flag(text):
+    """--m checked, once per command whatever the law: 'adaptive', 'survey',
+    or an integer that PB accepts as its truncation."""
+    if text in ("adaptive", "survey"):
+        return text
     try:
-        m = int(mflag)
-    except (TypeError, ValueError):
+        m = int(text)
+    except ValueError:
         raise UsageError(f"--m must be an integer, 'adaptive' or 'survey', "
-                         f"got {mflag!r}") from None
+                         f"got {text!r}") from None
     return _law(PB, alpha=1.0, beta=1.0, m=m).m
+
+
+def _resolve_m(mflag, survey_m=None):
+    """A checked --m other than 'adaptive' (which needs a law) as an
+    integer: 'survey' is the bundled value for a surveyed sequence."""
+    if mflag == "survey" and survey_m is None:
+        raise UsageError("--m survey only applies when fitting a surveyed sequence via --seq")
+    return survey_m if mflag == "survey" else mflag
 
 
 def _build_model(args):
@@ -83,9 +88,10 @@ def _build_model(args):
             raise UsageError(f"--{name} does not apply to --model {args.model}")
     model = _law(law, **{f.name: _required(f.name, getattr(args, f.name))
                          for f in fields(law) if f.name != "m"})
+    mflag = _m_flag(args.m)  # after the law's own fields, as PB checks m last
     if law is PB:
-        m = (adaptive_truncation(model.alpha, model.beta) if args.m == "adaptive"
-             else _resolve_m(args.m))
+        m = (adaptive_truncation(model.alpha, model.beta) if mflag == "adaptive"
+             else _resolve_m(mflag))
         model = replace(model, m=m)
     return model
 
@@ -95,8 +101,8 @@ def _fit(hist, tag, mflag, survey_m=None) -> FitResult:
     takes the adaptive truncation of a pilot fit at m = 1000 and refits
     only above 1000."""
     if tag == "benford":
-        return FitResult(Benford(), *goodness_of_fit(hist, Benford(), 0),
-                         converged=True, evaluations=1)
+        return FitResult._of(Benford(), chi_square_stat(hist, Benford().pmf()),
+                             converged=True, evaluations=1)
     if tag == "tspb":
         return fit_tspb(hist)
     if mflag != "adaptive":
@@ -180,7 +186,7 @@ def cmd_fit(args) -> int:
     if hist.sample_size < 1:
         flag = next(f for f in ("counts", "file", "seq") if getattr(args, f) is not None)
         raise UsageError(f"histogram is empty: --{flag} gives no values")
-    rec = _fit(hist, args.model, args.m, survey_m).to_json_dict()
+    rec = _fit(hist, args.model, _m_flag(args.m), survey_m).to_json_dict()
     if args.format == "json":
         print(json.dumps({**rec, "source": label}))
         return 0
@@ -211,8 +217,7 @@ def cmd_tables(args) -> int:
             named = (k or "''" for k in sorted(unknown))
             raise UsageError(f"unknown survey keys: {', '.join(named)}")
         rows = [r for r in rows if r.key in wanted]
-    if args.m not in ("adaptive", "survey"):
-        _resolve_m(args.m)  # a bad --m is a usage error, not a failure per row
+    args.m = _m_flag(args.m)  # a bad --m is a usage error, not a failure per row
     failed = False
     if args.table in ("digits", "both"):
         header = ["sequence", "n", "source"] + [f"pct{d}" for d in range(1, 10)]
@@ -374,13 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code) if e.code else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as e:  # argparse's own exit: --help or a usage error
+        return int(e.code) if e.code else 0
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

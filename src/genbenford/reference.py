@@ -25,7 +25,6 @@ __all__ = [
     "SurveyRow",
     "data_dir",
     "load_survey",
-    "survey_row",
 ]
 
 _ENV_VAR = "BENFORD_DATA_DIR"
@@ -76,9 +75,3 @@ def load_survey() -> list[SurveyRow]:
             for rec in reader
         ]
 
-
-def survey_row(key: str) -> SurveyRow:
-    for row in load_survey():
-        if row.key == key:
-            return row
-    raise KeyError(f"no survey row with key {key!r}")

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import optimize
 
 from genbenford import DigitHistogram
-from genbenford.fitting import _POLISH, _pb_objective
+from genbenford.fitting import _pb_objective
 
 _LOG10 = np.log10(np.arange(1, 11, dtype=float))
 
@@ -152,6 +152,9 @@ def tspb_dense_grid_min(counts, step=1e-4, c_max=10.0):
     return float(cs[i]), float(chis[i])
 
 
+# SciPy's Nelder-Mead options for the polish after the dense grid: the
+# settings of fit_pb's polish, copied so the judge does not move with fit_pb
+_PB_POLISH = dict(xatol=1e-8, fatol=1e-12, maxiter=3000, maxfev=3500)
 _PB_LOG_ALPHAS = np.linspace(-3.0, math.log(1e9), 240)
 _PB_LOG_BETAS = np.linspace(-6.0, 10.0, 200)
 
@@ -173,7 +176,7 @@ def pb_dense_grid_min(counts, m):
     """Minimum PB chi-square at truncation m by a dense search: every point
     of a 240x200 grid over log alpha in [-3, ln 1e9] and log beta in
     [-6, 10] is scored from directly summed series, then SciPy's
-    Nelder-Mead, at fit_pb's polish tolerances and on fit_pb's own
+    Nelder-Mead, with the options _PB_POLISH and on fit_pb's own
     objective, runs from the 20 best grid-local minima (each no worse
     than its 8 neighbours).  Oracle for fit_pb's multistart; m <= 10**4."""
     if not 1 <= m <= 10 ** 4:
@@ -198,7 +201,7 @@ def pb_dense_grid_min(counts, m):
     best = np.argsort(chi[i, j], kind="stable")[:20]
     polished = [optimize.minimize(lambda x: float(objective(x[None, :])[0]),
                                   [_PB_LOG_ALPHAS[i[b]], _PB_LOG_BETAS[j[b]]],
-                                  method="Nelder-Mead", options=_POLISH).fun
+                                  method="Nelder-Mead", options=_PB_POLISH).fun
                 for b in best]
     return float(min(polished))
 

@@ -17,9 +17,9 @@ from genbenford import (
     fit_pb,
     fit_tspb,
     goodness_of_fit,
+    load_survey,
     pb_truncation_deficit,
     pmf_vector,
-    survey_row,
     verification_report,
 )
 from genbenford.cli import main
@@ -201,7 +201,7 @@ class TestTables:
         chi2, _, _ = goodness_of_fit(squares, Benford(), 0)
         assert rows["Square"]["benford_chi2"] == repr(chi2)
 
-        mixing = survey_row("mixing").histogram()
+        mixing = next(r for r in load_survey() if r.key == "mixing").histogram()
         pb = fit_pb(mixing, m=100)
         assert rows["Mixing sequence"]["pb_chi2"] == repr(pb.chi_square)
         assert rows["Mixing sequence"]["pb_m"] == "100"
@@ -362,6 +362,31 @@ class TestExitCodes:
                          "--m", "0")
         assert code == 2
 
+    _LAW_FLAGS = {"benford": (), "tspb": ("--c", "2"), "pb": ("--alpha", "1", "--beta", "1")}
+    _COMMANDS = {"fit": ("fit", "--counts", MIXING_COUNTS), "pmf": ("pmf",),
+                 "verify": ("verify", "--n", "1000", "--seed", "1")}
+
+    @pytest.mark.parametrize("law", list(_LAW_FLAGS))
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_junk_m_is_usage_error_under_every_law(self, capsys, command, law):
+        params = self._LAW_FLAGS[law] if command != "fit" else ()
+        code, out, err = run(capsys, *self._COMMANDS[command], "--model", law, *params,
+                             "--m", "junk")
+        assert (code, out) == (2, "")
+        assert err == "error: --m must be an integer, 'adaptive' or 'survey', got 'junk'\n"
+
+    def test_junk_tables_m_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "tables", "--table", "fits", "--m", "junk")
+        assert (code, out) == (2, "")
+        assert err == "error: --m must be an integer, 'adaptive' or 'survey', got 'junk'\n"
+
+    @pytest.mark.parametrize("law", ["benford", "tspb"])
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_valid_m_leaves_a_law_without_m_alone(self, capsys, command, law):
+        params = self._LAW_FLAGS[law] if command != "fit" else ()
+        argv = (*self._COMMANDS[command], "--model", law, *params)
+        assert run(capsys, *argv, "--m", "5") == run(capsys, *argv)
+
     def test_m_past_float_range_is_usage_error(self, capsys):
         code, _, err = run(capsys, "fit", "--counts", "30,17,12,10,8,7,6,5,5",
                            "--model", "pb", "--m", str(2 ** 1024))
@@ -509,7 +534,7 @@ class TestExactFormat:
         (("--model", "pb", "--m", "100"),
          "source: counts\nmodel: pb\nalpha: 4.78641\nbeta: 1.83119\nm: 100\n"
          "chi_square: 1.81929\ndf: 6\np_value: 93.55%\nconverged: True\n"
-         "evaluations: 1863\n"),
+         "evaluations: 1870\n"),
     ])
     def test_fit_markdown(self, capsys, argv, expected):
         code, out, err = run(capsys, "fit", "--counts", MIXING_COUNTS, *argv)
@@ -620,7 +645,7 @@ class TestExactFormat:
         assert [float(r[3]) for r in rows] == list(report.z_scores)
 
     def test_tables_csv(self, capsys):
-        row = survey_row("mixing")
+        row = next(r for r in load_survey() if r.key == "mixing")
         hist = row.histogram()
         code, out, _ = run(capsys, "tables", "--table", "both", "--rows", "mixing",
                            "--m", "100", "--format", "csv")

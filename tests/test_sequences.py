@@ -16,6 +16,7 @@ from genbenford import (
     histogram_from_percentages,
     idoneal,
     keith,
+    load_survey,
     lucky,
     parse_values,
     partition,
@@ -24,7 +25,6 @@ from genbenford import (
     read_values,
     square_roots,
     squares,
-    survey_row,
     ulam,
 )
 from genbenford.digits import _first_digits
@@ -49,7 +49,7 @@ EVERY_KIND = [
 
 
 def survey_counts(key):
-    row = survey_row(key)
+    row = next(r for r in load_survey() if r.key == key)
     return histogram_from_percentages(row.percentages, row.n).counts
 
 
