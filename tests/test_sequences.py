@@ -1,5 +1,12 @@
-import pytest
+import math
+import tracemalloc
+from collections.abc import Iterator
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import genbenford.sequences as seq
 from genbenford import (
     SEQUENCE_KINDS,
     SequenceSpec,
@@ -40,7 +47,8 @@ from oracles import (
 )
 
 
-# every kind, past one 256-value chunk where the kind has that many values
+# every kind at a size where its values span several orders of magnitude;
+# test_chunking_does_not_change_the_histogram crosses chunk boundaries
 EVERY_KIND = [
     ("squares", 300), ("cubes", 300), ("square_roots", 300), ("primes_below", 3000),
     ("pentagonal", 300), ("fibonacci", 300), ("catalan", 300), ("bell", 300),
@@ -89,12 +97,25 @@ class TestElementaryKinds:
     def test_pentagonal_10(self):
         assert list(pentagonal(10)) == [1, 5, 12, 22, 35, 51, 70, 92, 117, 145]
 
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(st.integers(1, 3000))
+    @example(1)  # the cubes' inner running sum is its initial 1 alone
+    @example(2)  # ... and then its first difference
+    def test_running_sums_match_the_closed_forms(self, count):
+        ns = range(1, count + 1)
+        for generator in (squares, cubes, pentagonal, square_roots):
+            # lazy: a sequence is held only as digits
+            assert isinstance(generator(count), Iterator)
+        assert list(squares(count)) == [n * n for n in ns]
+        assert list(cubes(count)) == [n ** 3 for n in ns]
+        assert list(pentagonal(count)) == [n * (3 * n - 1) // 2 for n in ns]
+        roots = list(square_roots(count))
+        assert [r.hex() for r in roots] == [math.sqrt(n).hex() for n in ns]
+
     def test_catalan_prefix(self):
         assert list(catalan(10)) == [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
 
     def test_catalan_against_binomial_formula(self):
-        import math
-
         vals = list(catalan(30))
         for n, v in enumerate(vals):
             assert v == math.comb(2 * n, n) // (n + 1)
@@ -111,8 +132,9 @@ class TestElementaryKinds:
         assert list(partition(10)) == [1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 
     def test_partition_against_dp_oracle(self):
-        oracle = partitions_dp(50)
-        assert list(partition(50)) == oracle[1:]
+        oracle = partitions_dp(500)
+        assert list(partition(500)) == oracle[1:]
+        assert list(partition(1000))[-1] == 24061467864032622473692149727991
 
 
 class TestSievedKinds:
@@ -256,6 +278,25 @@ class TestDigitHistogramOf:
                              first_digit_int(v) for v in generate(spec))
         assert digit_histogram_of(spec).counts == expected.counts
 
+    @pytest.mark.parametrize("kind,param", EVERY_KIND)
+    def test_chunking_does_not_change_the_histogram(self, kind, param, monkeypatch):
+        spec = SequenceSpec(kind, param)
+        whole = digit_histogram_of(spec).counts
+        for chunk in (1, 7):
+            monkeypatch.setattr(seq, "_HISTOGRAM_CHUNK", chunk)
+            assert digit_histogram_of(spec).counts == whole
+
+    def test_a_chunk_of_huge_ints_stays_small(self):
+        # fibonacci(30000) ends in terms of 6,270 digits, and a chunk holds
+        # them whole: about 5.5 MB traced at 1024 values a chunk, 19 MB at 4096
+        tracemalloc.start()
+        try:
+            digit_histogram_of(SequenceSpec("fibonacci", 30000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
     def test_square_roots_digit_counts(self):
         # exact oracle: first digit of sqrt(n) is d iff d^2 <= n < (d+1)^2,
         # so counts below 100 are 2d+1
@@ -342,7 +383,5 @@ class TestSpecAndCustomFiles:
 
 
 def test_generate_looks_generators_up_at_call_time(monkeypatch):
-    import genbenford.sequences as seq
-
     monkeypatch.setattr(seq, "fibonacci", lambda count: [7] * count)
     assert list(generate(SequenceSpec("fibonacci", 5))) == [7, 7, 7, 7, 7]
