@@ -8,18 +8,18 @@ TSPB, 6 for PB.
 Both fitters are deterministic and score points through one batched
 chi-square objective.  The 1-D TSPB search is one golden section run
 on all 40 cells of a 0.25-step c-grid at once, one point per cell in
-each call.  The 2-D PB search is a Nelder-Mead multistart in
-(log alpha, log beta) space: 17 fixed starts run a coarse pass of 100
-evaluations each and the best 3 endpoints are polished, each stage with
-all its simplices in lockstep, one call of the objective per step.  Each
-simplex takes SciPy's Nelder-Mead steps but checks its evaluation budget
-only between iterations, so it may pass the budget by up to n + 1 points.
+each call.  The 2-D PB search is a multistart in (log alpha, log beta)
+space: 17 fixed starts run a coarse Nelder-Mead pass of 100 evaluations
+each, all simplices in lockstep, one call of the objective per step, and
+the best 3 endpoints are polished by projected Newton steps (Bertsekas
+1982), two calls per iteration for all of them.  Each simplex takes
+SciPy's Nelder-Mead steps but checks its evaluation budget only between
+iterations, so it may pass the budget by up to n + 1 points.
 tests/fit_pb_corpus.py and its dense-grid oracle judge the result: on 657
 fixed-seed histograms no fit is worse than a dense-grid search by more
-than 1e-9.  alpha is capped at
-1e9 (the chi-square surface goes flat in alpha for near-Benford data, so
-the cap only pins an arbitrarily large estimate; the minimized
-chi-square is unaffected).
+than 1e-9.  alpha is capped at exactly 1e9 (the chi-square surface goes
+flat in alpha for near-Benford data, so the cap only pins an arbitrarily
+large estimate; the minimized chi-square is unaffected).
 """
 from __future__ import annotations
 
@@ -71,7 +71,13 @@ _NM_STARTS.append((math.log(1e6), 0.0))
 # then the best few coarse endpoints are polished to full precision; with a
 # coarse maxfev of 60 or 40, fits of tests/fit_pb_corpus.py miss the minimum
 _COARSE = dict(xatol=1e-3, fatol=1e-6, maxfev=100)
-_POLISH = dict(xatol=1e-8, fatol=1e-12, maxfev=3500)
+# the polish's central-difference stencil, line-search step scales, step
+# tolerance and iteration cap
+_H = 1e-4
+_STENCIL = _H * np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])
+_STEP_SCALES = 0.5 ** np.arange(12)
+_STEP_TOL = 1e-8
+_NEWTON_MAXITER = 50
 
 # Nelder-Mead coefficients (reflection, expansion, contraction, shrink) and
 # initial simplex steps (relative on nonzero coordinates, absolute on zero
@@ -190,7 +196,7 @@ def _pb_objective(hist: DigitHistogram, m: int):
     """fit_pb's objective, on (K, 2) points in (log alpha, log beta) with
     alpha and beta capped."""
     return _objective(hist, lambda lp: _pb_probs(
-        np.exp(np.minimum(lp[:, 0], _LOG_ALPHA_CAP)),
+        np.where(lp[:, 0] >= _LOG_ALPHA_CAP, _ALPHA_CAP, np.exp(lp[:, 0])),
         np.exp(np.minimum(lp[:, 1], _LOG_BETA_CAP)), m))
 
 
@@ -267,24 +273,63 @@ def _nelder_mead(f, x0: np.ndarray, **options) -> tuple[np.ndarray, ...]:
     return tuple(np.array(v) for v in zip(*(results[i] for i in range(len(runs)))))
 
 
+def _newton_polish(f, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Damped Newton descents (Nocedal & Wright 2006, 3.1 and 8.1) from the
+    rows of x (S, 2), in lockstep: each iteration calls f once on the 3x3
+    stencils giving gradients and Hessians, once on the line searches.  If
+    a Hessian is not positive definite, each coordinate takes a Newton step
+    where its curvature is > 0, else a unit step down the gradient; log
+    alpha holds at the cap if the gradient points past it.  Returns (x, fun,
+    nfev, converged): converged unless stopped at _NEWTON_MAXITER."""
+    x, fun, nfev = np.array(x, dtype=float), np.empty(len(x)), np.zeros(len(x), dtype=int)
+    live = np.arange(len(x))
+    for _ in range(_NEWTON_MAXITER):
+        xl = x[live]
+        s = f((xl[:, None] + _STENCIL).reshape(-1, 2)).reshape(-1, 3, 3)
+        fun[live], lines = s[:, 1, 1], np.stack([s[:, :, 1], s[:, 1, :]], axis=1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            g = (lines[..., 2] - lines[..., 0]) / (2 * _H)
+            curv = (lines[..., 2] - 2 * lines[..., 1] + lines[..., 0]) / _H ** 2
+            cross = (s[:, 2, 2] - s[:, 2, 0] - s[:, 0, 2] + s[:, 0, 0]) / (4 * _H ** 2)
+            det = curv[:, 0] * curv[:, 1] - cross ** 2
+            newton = (cross[:, None] * g[:, ::-1] - curv[:, ::-1] * g) / det[:, None]
+            step = np.where(((curv[:, 0] > 0) & (det > 0))[:, None], newton,
+                            np.where(curv > 0, -g / curv, -g))
+        step[(xl[:, 0] >= _LOG_ALPHA_CAP - _H) & (g[:, 0] <= 0), 0] = 0.0
+        # the scaled steps, then the point moved to the cap, for a valley falling to it
+        trial = np.append(xl[:, None] + _STEP_SCALES[:, None] * step[:, None],
+                          xl[:, None] + [np.inf, 0.0], axis=1)
+        trial[..., 0] = np.minimum(trial[..., 0], _LOG_ALPHA_CAP)
+        values = f(trial.reshape(-1, 2)).reshape(len(live), -1)
+        nfev[live] += _STENCIL.shape[0] + values.shape[1]
+        rows, best = np.arange(len(live)), values.argmin(axis=1)
+        moved, fmoved = trial[rows, best], values[rows, best]
+        lower = fmoved < fun[live]
+        x[live[lower]], fun[live[lower]] = moved[lower], fmoved[lower]
+        live = live[lower & (np.abs(moved - xl).max(axis=1) > _STEP_TOL)]
+        if not len(live):
+            break
+    return x, fun, nfev, ~np.isin(np.arange(len(x)), live)
+
+
 def fit_pb(hist: DigitHistogram, m: int = 1000) -> FitResult:
     """Minimize the chi-square over PB's (alpha, beta) at truncation m.
 
-    Two Nelder-Mead stages in (log alpha, log beta) space, each with its
-    simplices in lockstep: each of 17 fixed starts (a 4x4 grid plus a
-    near-Benford corner) runs a coarse pass of 100 evaluations, the best
-    3 endpoints (ties to the earliest start) are polished, and the lowest
-    polished chi-square wins.  `converged` says the winning simplex
-    stopped on its tolerances, not on its evaluation budget; `evaluations`
-    counts the points of both stages.
+    Two stages in (log alpha, log beta) space: each of 17 fixed starts (a
+    4x4 grid plus a near-Benford corner) runs a coarse Nelder-Mead pass of
+    100 evaluations, its simplices in lockstep; the best 3 endpoints (ties
+    to the earliest start) are polished by _newton_polish, and the lowest
+    polished chi-square wins.  `converged` says the winning polish stopped
+    on its step tolerance or found no lower point, not at its iteration
+    cap; `evaluations` counts the points of both stages.
     """
     m = PB(1.0, 1.0, m).m  # the law's own check of m
     objective = _pb_objective(hist, m)
     x, fun, nfev, _ = _nelder_mead(objective, np.array(_NM_STARTS), **_COARSE)
     order = sorted(range(len(_NM_STARTS)), key=lambda i: (fun[i], i))[:3]
-    px, pfun, pnfev, psuccess = _nelder_mead(objective, x[order], **_POLISH)
+    px, pfun, pnfev, psuccess = _newton_polish(objective, x[order])
     best = int(np.argmin(pfun))
-    alpha = math.exp(min(float(px[best, 0]), _LOG_ALPHA_CAP))
+    alpha = _ALPHA_CAP if px[best, 0] >= _LOG_ALPHA_CAP else math.exp(px[best, 0])
     beta = math.exp(min(float(px[best, 1]), _LOG_BETA_CAP))
     return FitResult._of(PB(alpha=alpha, beta=beta, m=m), float(pfun[best]),
                          converged=bool(psuccess[best]),

@@ -153,7 +153,7 @@ def tspb_dense_grid_min(counts, step=1e-4, c_max=10.0):
 
 
 # SciPy's Nelder-Mead options for the polish after the dense grid: the
-# settings of fit_pb's polish, copied so the judge does not move with fit_pb
+# judge's own, so that it does not move with fit_pb's Newton polish
 _PB_POLISH = dict(xatol=1e-8, fatol=1e-12, maxiter=3000, maxfev=3500)
 _PB_LOG_ALPHAS = np.linspace(-3.0, math.log(1e9), 240)
 _PB_LOG_BETAS = np.linspace(-6.0, 10.0, 200)
