@@ -11,10 +11,10 @@ on all 40 cells of a 0.25-step c-grid at once, one point per cell in
 each call.  The 2-D PB search is a multistart in (log alpha, log beta)
 space: 17 fixed starts run a coarse Nelder-Mead pass of 100 evaluations
 each, all simplices in lockstep, one call of the objective per step, and
-the best 3 endpoints are polished by projected Newton steps (Bertsekas
-1982), two calls per iteration for all of them.  Each simplex takes
-SciPy's Nelder-Mead steps but checks its evaluation budget only between
-iterations, so it may pass the budget by up to n + 1 points.
+the best coarse endpoint is polished by projected Newton steps (Bertsekas
+1982), two calls per iteration.  Each simplex takes SciPy's Nelder-Mead
+steps but checks its evaluation budget only between iterations, so it may
+pass the budget by up to n + 1 points.
 tests/fit_pb_corpus.py and its dense-grid oracle judge the result: on 657
 fixed-seed histograms no fit is worse than a dense-grid search by more
 than 1e-9.  alpha is capped at exactly 1e9 (the chi-square surface goes
@@ -68,7 +68,7 @@ _NM_STARTS = [(la, lb) for la in (-1.0, 1.0, 4.0, 8.0) for lb in (-1.0, 1.0, 4.0
 _NM_STARTS.append((math.log(1e6), 0.0))
 
 # two-stage multistart: a coarse pass over every start ranks the basins,
-# then the best few coarse endpoints are polished to full precision; with a
+# then the best coarse endpoint is polished to full precision; with a
 # coarse maxfev of 60 or 40, fits of tests/fit_pb_corpus.py miss the minimum
 _COARSE = dict(xatol=1e-3, fatol=1e-6, maxfev=100)
 # the polish's central-difference stencil, line-search step scales, step
@@ -192,12 +192,16 @@ def fit_tspb(hist: DigitHistogram) -> FitResult:
                          evaluations=nev)
 
 
+def _pb_params(lp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K, 2) points in (log alpha, log beta) -> their K alphas and K betas,
+    capped: the one map, so a fit reports the law it scored."""
+    return (np.where(lp[:, 0] >= _LOG_ALPHA_CAP, _ALPHA_CAP, np.exp(lp[:, 0])),
+            np.exp(np.minimum(lp[:, 1], _LOG_BETA_CAP)))
+
+
 def _pb_objective(hist: DigitHistogram, m: int):
-    """fit_pb's objective, on (K, 2) points in (log alpha, log beta) with
-    alpha and beta capped."""
-    return _objective(hist, lambda lp: _pb_probs(
-        np.where(lp[:, 0] >= _LOG_ALPHA_CAP, _ALPHA_CAP, np.exp(lp[:, 0])),
-        np.exp(np.minimum(lp[:, 1], _LOG_BETA_CAP)), m))
+    """fit_pb's objective, on (K, 2) points in (log alpha, log beta)."""
+    return _objective(hist, lambda lp: _pb_probs(*_pb_params(lp), m))
 
 
 def _along(xbar, worst, t):
@@ -273,43 +277,39 @@ def _nelder_mead(f, x0: np.ndarray, **options) -> tuple[np.ndarray, ...]:
     return tuple(np.array(v) for v in zip(*(results[i] for i in range(len(runs)))))
 
 
-def _newton_polish(f, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Damped Newton descents (Nocedal & Wright 2006, 3.1 and 8.1) from the
-    rows of x (S, 2), in lockstep: each iteration calls f once on the 3x3
-    stencils giving gradients and Hessians, once on the line searches.  If
-    a Hessian is not positive definite, each coordinate takes a Newton step
-    where its curvature is > 0, else a unit step down the gradient; log
-    alpha holds at the cap if the gradient points past it.  Returns (x, fun,
-    nfev, converged): converged unless stopped at _NEWTON_MAXITER."""
-    x, fun, nfev = np.array(x, dtype=float), np.empty(len(x)), np.zeros(len(x), dtype=int)
-    live = np.arange(len(x))
+def _newton_polish(f, x: np.ndarray) -> tuple:
+    """A damped Newton descent (Nocedal & Wright 2006, 3.1 and 8.1) from the
+    point x (2,): each iteration calls f once on the 3x3 stencil giving the
+    gradient and Hessian, once on the line search.  If the Hessian is not
+    positive definite, each coordinate takes a Newton step where its
+    curvature is > 0, else a unit step down the gradient; log alpha holds at
+    the cap if the gradient points past it.  Returns (x, fun, nfev,
+    converged): converged unless stopped at _NEWTON_MAXITER."""
+    x, nfev = np.array(x, dtype=float), 0
     for _ in range(_NEWTON_MAXITER):
-        xl = x[live]
-        s = f((xl[:, None] + _STENCIL).reshape(-1, 2)).reshape(-1, 3, 3)
-        fun[live], lines = s[:, 1, 1], np.stack([s[:, :, 1], s[:, 1, :]], axis=1)
+        s = f(x + _STENCIL).reshape(3, 3)
+        fun, lines = s[1, 1], np.stack([s[:, 1], s[1, :]])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            g = (lines[..., 2] - lines[..., 0]) / (2 * _H)
-            curv = (lines[..., 2] - 2 * lines[..., 1] + lines[..., 0]) / _H ** 2
-            cross = (s[:, 2, 2] - s[:, 2, 0] - s[:, 0, 2] + s[:, 0, 0]) / (4 * _H ** 2)
-            det = curv[:, 0] * curv[:, 1] - cross ** 2
-            newton = (cross[:, None] * g[:, ::-1] - curv[:, ::-1] * g) / det[:, None]
-            step = np.where(((curv[:, 0] > 0) & (det > 0))[:, None], newton,
-                            np.where(curv > 0, -g / curv, -g))
-        step[(xl[:, 0] >= _LOG_ALPHA_CAP - _H) & (g[:, 0] <= 0), 0] = 0.0
+            g = (lines[:, 2] - lines[:, 0]) / (2 * _H)
+            curv = (lines[:, 2] - 2 * lines[:, 1] + lines[:, 0]) / _H ** 2
+            cross = (s[2, 2] - s[2, 0] - s[0, 2] + s[0, 0]) / (4 * _H ** 2)
+            det = curv[0] * curv[1] - cross ** 2
+            step = ((cross * g[::-1] - curv[::-1] * g) / det if curv[0] > 0 and det > 0
+                    else np.where(curv > 0, -g / curv, -g))
+        if x[0] >= _LOG_ALPHA_CAP - _H and g[0] <= 0:
+            step[0] = 0.0
         # the scaled steps, then the point moved to the cap, for a valley falling to it
-        trial = np.append(xl[:, None] + _STEP_SCALES[:, None] * step[:, None],
-                          xl[:, None] + [np.inf, 0.0], axis=1)
-        trial[..., 0] = np.minimum(trial[..., 0], _LOG_ALPHA_CAP)
-        values = f(trial.reshape(-1, 2)).reshape(len(live), -1)
-        nfev[live] += _STENCIL.shape[0] + values.shape[1]
-        rows, best = np.arange(len(live)), values.argmin(axis=1)
-        moved, fmoved = trial[rows, best], values[rows, best]
-        lower = fmoved < fun[live]
-        x[live[lower]], fun[live[lower]] = moved[lower], fmoved[lower]
-        live = live[lower & (np.abs(moved - xl).max(axis=1) > _STEP_TOL)]
-        if not len(live):
-            break
-    return x, fun, nfev, ~np.isin(np.arange(len(x)), live)
+        trial = np.append(x + _STEP_SCALES[:, None] * step, [x + [np.inf, 0.0]], axis=0)
+        trial[:, 0] = np.minimum(trial[:, 0], _LOG_ALPHA_CAP)
+        values = f(trial)
+        nfev += len(_STENCIL) + len(values)
+        best = int(values.argmin())
+        if not values[best] < fun:
+            return x, fun, nfev, True
+        x, fun, moved = trial[best], values[best], np.abs(trial[best] - x).max()
+        if moved <= _STEP_TOL:
+            return x, fun, nfev, True
+    return x, fun, nfev, False
 
 
 def fit_pb(hist: DigitHistogram, m: int = 1000) -> FitResult:
@@ -317,20 +317,16 @@ def fit_pb(hist: DigitHistogram, m: int = 1000) -> FitResult:
 
     Two stages in (log alpha, log beta) space: each of 17 fixed starts (a
     4x4 grid plus a near-Benford corner) runs a coarse Nelder-Mead pass of
-    100 evaluations, its simplices in lockstep; the best 3 endpoints (ties
-    to the earliest start) are polished by _newton_polish, and the lowest
-    polished chi-square wins.  `converged` says the winning polish stopped
-    on its step tolerance or found no lower point, not at its iteration
-    cap; `evaluations` counts the points of both stages.
+    100 evaluations, its simplices in lockstep; the best coarse endpoint
+    (ties to the earliest start) is polished by _newton_polish.
+    `converged` says the polish stopped on its step tolerance or found no
+    lower point, not at its iteration cap; `evaluations` counts the points
+    of both stages.
     """
     m = PB(1.0, 1.0, m).m  # the law's own check of m
     objective = _pb_objective(hist, m)
     x, fun, nfev, _ = _nelder_mead(objective, np.array(_NM_STARTS), **_COARSE)
-    order = sorted(range(len(_NM_STARTS)), key=lambda i: (fun[i], i))[:3]
-    px, pfun, pnfev, psuccess = _newton_polish(objective, x[order])
-    best = int(np.argmin(pfun))
-    alpha = _ALPHA_CAP if px[best, 0] >= _LOG_ALPHA_CAP else math.exp(px[best, 0])
-    beta = math.exp(min(float(px[best, 1]), _LOG_BETA_CAP))
-    return FitResult._of(PB(alpha=alpha, beta=beta, m=m), float(pfun[best]),
-                         converged=bool(psuccess[best]),
-                         evaluations=int(nfev.sum() + pnfev.sum()))
+    px, pfun, pnfev, converged = _newton_polish(objective, x[int(np.argmin(fun))])
+    (alpha,), (beta,) = _pb_params(px[None])
+    return FitResult._of(PB(alpha=float(alpha), beta=float(beta), m=m), float(pfun),
+                         converged=converged, evaluations=int(nfev.sum()) + pnfev)
