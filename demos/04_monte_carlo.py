@@ -8,17 +8,15 @@ Brownian motion observed at an exponentially-distributed random time.
 This script runs the whole pipeline and compares empirical digit
 frequencies to the analytic mass functions.
 """
-import numpy as np
-
 from genbenford import (
     PB,
     TSPB,
     GbmParams,
     adaptive_truncation,
+    empirical_digit_pmf,
     first_digit_real,
     gbm_char_roots,
     pmf_vector,
-    sample_dp,
     sample_tspp,
     verification_report,
 )
@@ -58,11 +56,7 @@ print(f"  -> check: alpha*beta = {alpha * beta:.6f} vs 2*lam/sigma^2 = "
 # GBM observed at a random exponential time follow this PB distribution.
 m = adaptive_truncation(alpha, beta)
 digit_law = pmf_vector(PB(alpha=alpha, beta=beta, m=m))
-rng = np.random.default_rng(20240811)
-w = sample_dp(alpha, beta, rng.random(200_000))
-observed = np.bincount(
-    np.searchsorted(np.log10(np.arange(1, 10.0)), (w % 1.0) + 1e-12,
-                    side="right"), minlength=10)[1:] / 200_000
+observed = empirical_digit_pmf(PB(alpha, beta, m), 200_000, 20240811).frequencies()
 print()
 print("digit   analytic   simulated")
 for d in range(9):

@@ -4,6 +4,13 @@ One routine, `_first_digits`, reads first digits off the fraction of log10.
 Integers of any size stay exact: the few whose logarithm lands too close to
 a digit edge for log10's rounding error are settled by integer division.
 Positive reals keep a guard for values a hair below an exact power of ten.
+
+A fraction's digit is looked up, not searched for: [0, 1) is cut into 1,024
+cells of width 2^-10, and since the digit bounds log10 d lie at least
+log10(10/9) ~ 0.046 apart, a cell holds at most one of them.  The digit is
+the cell's starting digit, plus one if the fraction is at or past the bound
+inside the cell.  Scaling by 1,024 is exact, so this is the count of bounds
+<= the fraction, the same digit a binary search over the bounds gives.
 """
 from __future__ import annotations
 
@@ -32,11 +39,21 @@ _DIGIT_BOUNDS = _DIGIT_EDGES[:-1]
 # 1): log10 of 10**k may evaluate to k - 4e-16*k in floating point.
 _BOUNDARY_EPS = 1e-12
 
+# Cell k = [k, k+1) / 1024: the digit at its start and the one bound inside it
+# (inf where there is none; log10 1 = 0 starts cell 0).
+_CELLS = 1024
+_CELL_DIGIT = np.searchsorted(_DIGIT_BOUNDS, np.arange(_CELLS) / _CELLS, side="right")
+_CELL_BOUND = np.full(_CELLS, np.inf)
+_CELL_BOUND[(_DIGIT_BOUNDS[1:] * _CELLS).astype(np.intp)] = _DIGIT_BOUNDS[1:]
+
 
 def _digits_from_log10_fractions(frac: np.ndarray, eps=_BOUNDARY_EPS) -> np.ndarray:
-    """Digits d with log10 d <= frac + eps < log10(d+1); frac >= 1 - eps is 1."""
-    d = np.searchsorted(_DIGIT_BOUNDS, frac + eps, side="right")
-    return np.where(frac >= 1.0 - eps, 1, d)
+    """Digits d with log10 d <= frac + eps < log10(d+1) for frac in [0, 1];
+    frac >= 1 - eps is 1, and NaN is 9."""
+    f = frac + eps
+    # fmin sends f >= 1 and NaN to the last cell, whose digit is 9
+    k = np.fmin(f * _CELLS, _CELLS - 1).astype(np.intp)
+    return np.where(frac >= 1.0 - eps, 1, _CELL_DIGIT[k] + (f >= _CELL_BOUND[k]))
 
 
 def _first_digits(values: list) -> np.ndarray:

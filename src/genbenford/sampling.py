@@ -6,6 +6,9 @@ digit of 10^W follows TSPB(c); if W follows the double Pareto law
 DP(1, alpha, beta), the first digit of 10^W follows PB(alpha, beta).
 This module draws W by inverse-CDF sampling, extracts first digits, and
 compares the empirical histogram against the analytic mass functions.
+The draws come from one random stream in chunks of 2^16, each tallied before
+the next is drawn; the stream gives the same values in chunks as in one draw,
+so the tally is that of one draw, in a few MB whatever the sample size.
 
 The double Pareto exponents come from geometric Brownian motion observed
 at an exponentially distributed time: alpha and -beta are the roots of
@@ -82,9 +85,9 @@ def sample_tspp(c: float, u) -> np.ndarray:
     """
     TSPB(c)  # the law's own check of c
     arr = _as_unit_interval(u)
-    lower = (2.0 * arr) ** (1.0 / c)
-    upper = 2.0 - (2.0 * (1.0 - arr)) ** (1.0 / c)
-    return np.where(arr <= 0.5, lower, upper)
+    # (2u)^(1/c) up to the mode, 2 - (2(1-u))^(1/c) past it: one power for both
+    s = (2.0 * np.minimum(arr, 1.0 - arr)) ** (1.0 / c)
+    return np.where(arr <= 0.5, s, 2.0 - s)
 
 
 def sample_dp(alpha: float, beta: float, u) -> np.ndarray:
@@ -109,15 +112,25 @@ _EXPONENT_SAMPLERS = {
 }
 
 
+# Uniforms drawn and tallied at a time: each of a chunk's dozen temporaries
+# is 512 KB, where 10^6 draws at once would make each an 8 MB array.
+_SAMPLE_CHUNK = 1 << 16
+
+
 def empirical_digit_pmf(model: ModelParams, n_samples: int, seed: int) -> DigitHistogram:
     """Draw n_samples exponents from the model's generating law, take first
-    digits of 10^W, and tally.  Deterministic given seed."""
+    digits of 10^W, and tally.  Deterministic given seed: the uniforms come
+    from one default_rng(seed) stream in chunks, the same values as one
+    rng.random(n_samples) call, so the counts are those of that one draw."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     draw = _EXPONENT_SAMPLERS[type(_check_model(model))]
-    w = draw(model, rng.random(n_samples))
-    return histogram(_digits_from_log10_fractions(w - np.floor(w)))
+    counts = np.zeros(9, dtype=np.int64)
+    for start in range(0, n_samples, _SAMPLE_CHUNK):
+        w = draw(model, rng.random(min(_SAMPLE_CHUNK, n_samples - start)))
+        counts += histogram(_digits_from_log10_fractions(w - np.floor(w))).counts
+    return DigitHistogram(counts)
 
 
 @dataclass(frozen=True)

@@ -283,10 +283,11 @@ def generate(spec: SequenceSpec):
 
 
 # Values read at a time: a sequence is held only as digits.  Each chunk pays
-# a fixed numpy cost in _first_digits (about 50 us), so larger chunks are
-# cheaper per value; but a chunk of huge ints is held whole, and 1024
-# fibonacci(30000) terms (up to 6,270 digits each) peak at about 5.5 MB
-# traced, against about 19 MB at 4096; RSS grows with it.
+# a fixed numpy cost in _first_digits (about 18 us, against about 110 us for
+# the whole of a chunk of 1024 cubes, on one core of a shared 2-CPU x86-64
+# host), so larger chunks are cheaper per value; but a chunk of huge ints is
+# held whole, and 1024 fibonacci(30000) terms (up to 6,270 digits each) peak
+# at about 5.5 MB traced, against about 19 MB at 4096; RSS grows with it.
 _HISTOGRAM_CHUNK = 1024
 
 

@@ -7,6 +7,8 @@ pentagonal recurrence, Bell numbers from the binomial convolution instead
 of the triangle, Ulam terms by scanning every candidate instead of keeping
 representation counts, Keith membership from the digit recurrence and Keith
 completeness from a vectorized exhaustive search,
+the digit of a log10 fraction by binary search over the digit bounds
+instead of a table of 1,024 cells,
 the 1-D fit check from a dense parameter grid instead of a golden section
 on every grid cell, the PB fit check from a dense grid of directly summed
 series and SciPy's Nelder-Mead instead of a lockstep multistart, and the PB
@@ -204,6 +206,14 @@ def pb_dense_grid_min(counts, m):
                                   method="Nelder-Mead", options=_PB_POLISH).fun
                 for b in best]
     return float(min(polished))
+
+
+def digits_by_search(frac, eps):
+    """Digits d with log10 d <= frac + eps < log10(d+1), found by binary
+    search over log10 1..9; frac >= 1 - eps is 1, and NaN sorts past every
+    bound, to 9."""
+    d = np.searchsorted(_LOG10[:-1], frac + eps, side="right")
+    return np.where(frac >= 1.0 - eps, 1, d)
 
 
 def tspp_cdf(w, alpha, c):

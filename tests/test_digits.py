@@ -16,8 +16,8 @@ from genbenford import (
     histogram,
     histogram_from_percentages,
 )
-from genbenford.digits import _first_digits
-from oracles import fibonacci_list, leading_digit, sieve_primes
+from genbenford.digits import _DIGIT_BOUNDS, _digits_from_log10_fractions, _first_digits
+from oracles import digits_by_search, fibonacci_list, leading_digit, sieve_primes
 
 few = settings(max_examples=25, deadline=None, database=None)
 
@@ -96,6 +96,42 @@ _edge_values = st.one_of(
 def test_a_digit_does_not_depend_on_its_chunk_neighbours(chunk):
     digits = _first_digits(chunk).tolist()
     assert digits == [_first_digits([v])[0] for v in chunk]
+
+
+def _digit_rule_edges():
+    """Fractions where a digit is hardest to read: each bound, the point
+    eps = 1e-12 below it and 1 - 1e-12, each give or take one ulp, plus the
+    ends of [0, 1] and NaN."""
+    centres = list(_DIGIT_BOUNDS[1:]) + [b - 1e-12 for b in _DIGIT_BOUNDS[1:]]
+    centres.append(1.0 - 1e-12)
+    edges = [math.nextafter(c, d) for c in centres for d in (0.0, c, 1.0)]
+    return edges + [0.0, -0.0, 5e-324, math.nextafter(1.0, 0.0), 1.0, math.nan]
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-12])
+class TestDigitRule:
+    """The cell table gives the digit a binary search over the bounds gives."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=64))
+    def test_matches_the_search_on_random_fractions(self, eps, fracs):
+        frac = np.array(fracs)
+        np.testing.assert_array_equal(_digits_from_log10_fractions(frac, eps),
+                                      digits_by_search(frac, eps))
+
+    def test_matches_the_search_next_to_every_edge(self, eps):
+        frac = np.array(_digit_rule_edges())
+        digits = _digits_from_log10_fractions(frac, eps)
+        np.testing.assert_array_equal(digits, digits_by_search(frac, eps))
+        assert digits[-1] == 9  # NaN
+
+    def test_a_0d_fraction_gives_a_0d_digit(self, eps):
+        # _first_digits passes one fraction at a time, as a numpy scalar
+        for x in _digit_rule_edges():
+            for frac in (np.float64(x), np.array(x)):
+                digit = _digits_from_log10_fractions(frac, eps)
+                assert np.shape(digit) == ()
+                assert digit == digits_by_search(frac, eps), x
 
 
 class TestFirstDigitReal:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,12 +14,14 @@ from genbenford import (
     empirical_digit_pmf,
     first_digit_real,
     gbm_char_roots,
+    histogram,
     pmf_vector,
     sample_dp,
     sample_tspp,
     verification_report,
 )
 from genbenford.digits import _digits_from_log10_fractions
+from genbenford.sampling import _SAMPLE_CHUNK
 from oracles import dp_cdf, tspp_cdf
 
 
@@ -65,6 +68,17 @@ class TestSampleTspp:
             sample_tspp(1.0, 1.0)
         with pytest.raises(ValueError):
             sample_tspp(1.0, -0.1)
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 9.0])
+    def test_each_branch_bit_for_bit(self, c):
+        half = [0.0, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0),
+                math.nextafter(1.0, 0.0)]
+        u = np.concatenate([np.random.default_rng(3).random(10_000), half])
+        lower, upper = u <= 0.5, u > 0.5
+        w = sample_tspp(c, u)
+        np.testing.assert_array_equal(w[lower], (2.0 * u[lower]) ** (1.0 / c))
+        np.testing.assert_array_equal(w[upper], 2.0 - (2.0 * (1.0 - u[upper])) ** (1.0 / c))
+        assert sample_tspp(c, 0.5) == 1.0  # the mode, on the lower branch
 
     @pytest.mark.parametrize("c", [0.5, 2.5])
     def test_kolmogorov_smirnov(self, c):
@@ -182,6 +196,35 @@ class TestEmpiricalDigitPmf:
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
             empirical_digit_pmf(Benford(), 0, seed=1)
+
+
+_DRAWS = {
+    Benford(): lambda u: u,
+    TSPB(2.5): lambda u: sample_tspp(2.5, u),
+    PB(3, 1.27, 1437): lambda u: sample_dp(3, 1.27, u),
+}
+
+
+class TestChunkedDraws:
+    """The draws come in chunks of _SAMPLE_CHUNK and tally as one draw."""
+
+    @pytest.mark.parametrize("model", list(_DRAWS), ids=str)
+    @pytest.mark.parametrize("n", [1, _SAMPLE_CHUNK - 1, _SAMPLE_CHUNK,
+                                   _SAMPLE_CHUNK + 1, 3 * _SAMPLE_CHUNK + 7])
+    def test_tally_is_that_of_one_draw(self, model, n):
+        w = _DRAWS[model](np.random.default_rng(11).random(n))
+        one_draw = histogram(_digits_from_log10_fractions(w - np.floor(w)))
+        assert empirical_digit_pmf(model, n, 11) == one_draw
+
+    def test_a_million_draws_stay_small(self):
+        # one draw of 10^6 held a dozen 8 MB temporaries, about 33 MB traced
+        tracemalloc.start()
+        try:
+            empirical_digit_pmf(PB(3, 1.27, 1437), 1_000_000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestVerificationReport:
