@@ -46,6 +46,12 @@ _CELL_DIGIT = np.searchsorted(_DIGIT_BOUNDS, np.arange(_CELLS) / _CELLS, side="r
 _CELL_BOUND = np.full(_CELLS, np.inf)
 _CELL_BOUND[(_DIGIT_BOUNDS[1:] * _CELLS).astype(np.intp)] = _DIGIT_BOUNDS[1:]
 
+# The digit of every fraction in a cell with no bound inside, save the last
+# (where f >= 1 reads 1); 0 marks those nine cells, whose digits need the rule.
+_PLAIN_CELL_DIGIT = np.where(np.isinf(_CELL_BOUND), _CELL_DIGIT, 0)
+_PLAIN_CELL_DIGIT[-1] = 0
+_RULE_CELL = _PLAIN_CELL_DIGIT == 0
+
 
 def _digits_from_log10_fractions(frac: np.ndarray, eps=_BOUNDARY_EPS) -> np.ndarray:
     """Digits d with log10 d <= frac + eps < log10(d+1) for frac in [0, 1];
@@ -160,6 +166,40 @@ def histogram(digits) -> DigitHistogram:
         raise ValueError(f"digit out of range 1..9: {bad!r}")
     return DigitHistogram.from_counts(np.bincount(d.astype(np.intp, copy=False),
                                                   minlength=10)[1:])
+
+
+class _CellTally:
+    """The histogram of `_digits_from_log10_fractions` over fractions added a
+    chunk of at most `size` at a time, in buffers made once.  A chunk is
+    counted by cell; only the fractions in the nine cells marked in
+    `_RULE_CELL` (about 1% of a spread-out law's) go through the rule, and
+    through `histogram`, chunk by chunk."""
+
+    def __init__(self, size: int):
+        self._scaled = np.empty(size)
+        self._cell = np.empty(size, dtype=np.intp)
+        self._rule = np.empty(size, dtype=bool)
+        self._cells = np.zeros(_CELLS, dtype=np.int64)
+        self._rule_counts = np.zeros(9, dtype=np.int64)
+
+    def add(self, frac: np.ndarray) -> None:
+        """Tally the digits of fractions in [0, 1] and NaN, as the rule reads them."""
+        n = len(frac)
+        # the rule's own cell: fmin((frac + eps) * 1024, 1023), truncated
+        scaled = np.add(frac, _BOUNDARY_EPS, out=self._scaled[:n])
+        scaled *= _CELLS
+        np.fmin(scaled, _CELLS - 1, out=scaled)
+        cell = self._cell[:n]
+        np.copyto(cell, scaled, casting="unsafe")
+        self._cells += np.bincount(cell, minlength=_CELLS)
+        # cells lie in 0..1023; mode "raise" would copy `out` first
+        rule = np.take(_RULE_CELL, cell, out=self._rule[:n], mode="clip")
+        self._rule_counts += histogram(_digits_from_log10_fractions(frac[rule])).counts
+
+    def digit_histogram(self) -> DigitHistogram:
+        counts = np.zeros(10, dtype=np.int64)
+        np.add.at(counts, _PLAIN_CELL_DIGIT, self._cells)  # the rule cells land on 0
+        return DigitHistogram.from_counts(counts[1:] + self._rule_counts)
 
 
 def histogram_from_percentages(pct: Sequence[float], n: int) -> DigitHistogram:

@@ -6,9 +6,13 @@ digit of 10^W follows TSPB(c); if W follows the double Pareto law
 DP(1, alpha, beta), the first digit of 10^W follows PB(alpha, beta).
 This module draws W by inverse-CDF sampling, extracts first digits, and
 compares the empirical histogram against the analytic mass functions.
-The draws come from one random stream in chunks of 2^16, each tallied before
-the next is drawn; the stream gives the same values in chunks as in one draw,
-so the tally is that of one draw, in a few MB whatever the sample size.
+Each law's inverse CDF is one pair of branch functions, one power per draw,
+which the public samplers and the tally both call.  The tally draws from one
+random stream in chunks of 2^14 into buffers made once, and counts each chunk
+by the digit cells of its log10 fractions before the next is drawn; the
+stream gives the same values in chunks as in one draw, and a count does not
+depend on order, so the tally is that of one draw, in under 1 MB whatever
+the sample size.
 
 The double Pareto exponents come from geometric Brownian motion observed
 at an exponentially distributed time: alpha and -beta are the roots of
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digits import DigitHistogram, _digits_from_log10_fractions, histogram
+from .digits import DigitHistogram, _CellTally, _is_integral
 from .distributions import PB, TSPB, Benford, ModelParams, _check_model, pmf_vector
 from .fitting import chi_square_stat
 
@@ -71,9 +75,67 @@ def gbm_char_roots(params: GbmParams) -> tuple[float, float]:
 
 def _as_unit_interval(u):
     arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
+    if not ((arr >= 0.0) & (arr < 1.0)).all():  # NaN fails both
         raise ValueError("u must lie in [0, 1)")
     return arr
+
+
+# Each two-sided law's inverse CDF as (split, lower, upper): W is lower(u) for
+# u < split and upper(u) past it.  A branch overwrites the uniforms it is
+# given with their draws and returns them: one power per draw.
+
+def _tspp_branches(c: float):
+    """TSPP(1, c): (2u)^(1/c) up to the mode, 2 - (2(1-u))^(1/c) past it
+    (both read exactly 1 at u = 1/2)."""
+    def lower(w):
+        w *= 2.0
+        w **= 1.0 / c
+        return w
+
+    def upper(w):
+        np.subtract(1.0, w, out=w)
+        w *= 2.0
+        w **= 1.0 / c
+        return np.subtract(2.0, w, out=w)
+    return 0.5, lower, upper
+
+
+def _dp_branches(alpha: float, beta: float):
+    """DP(1, alpha, beta): ((1 + beta/alpha) u)^(1/beta) below the split,
+    ((1 + alpha/beta)(1 - u))^(-1/alpha) from it on."""
+    def lower(w):
+        w *= 1.0 + beta / alpha
+        w **= 1.0 / beta
+        return w
+
+    def upper(w):
+        np.subtract(1.0, w, out=w)
+        w *= 1.0 + alpha / beta
+        with np.errstate(divide="ignore"):
+            w **= -1.0 / alpha
+        return w
+    # 1 + beta/alpha, not (alpha + beta)/alpha: the sum may overflow
+    return 1.0 / (1.0 + beta / alpha), lower, upper
+
+
+def _draw_in_order(u: np.ndarray, split: float, lower, upper) -> np.ndarray:
+    """The draws of the uniforms u, in their order."""
+    below = u < split
+    w = np.empty_like(u)
+    w[below] = lower(u[below])
+    w[~below] = upper(u[~below])
+    return w
+
+
+def _draw_grouped(u, split, lower, upper, w, below) -> np.ndarray:
+    """The draws of _draw_in_order into w, those below the split first; below
+    is a scratch mask.  On a random mask two compress passes cost less than
+    one select or boolean index, whose branches the CPU cannot predict."""
+    np.less(u, split, out=below)
+    n_lower = np.count_nonzero(below)
+    lower(np.compress(below, u, out=w[:n_lower]))
+    upper(np.compress(np.logical_not(below, out=below), u, out=w[n_lower:]))
+    return w
 
 
 def sample_tspp(c: float, u) -> np.ndarray:
@@ -84,10 +146,7 @@ def sample_tspp(c: float, u) -> np.ndarray:
     TSPP(1, 1) is uniform(0, 2); TSPP(1, 2) is triangular(0, 1, 2).
     """
     TSPB(c)  # the law's own check of c
-    arr = _as_unit_interval(u)
-    # (2u)^(1/c) up to the mode, 2 - (2(1-u))^(1/c) past it: one power for both
-    s = (2.0 * np.minimum(arr, 1.0 - arr)) ** (1.0 / c)
-    return np.where(arr <= 0.5, s, 2.0 - s)
+    return _draw_in_order(_as_unit_interval(u), *_tspp_branches(c))
 
 
 def sample_dp(alpha: float, beta: float, u) -> np.ndarray:
@@ -95,26 +154,20 @@ def sample_dp(alpha: float, beta: float, u) -> np.ndarray:
     density ~ w^(beta-1) below 1 and w^(-alpha-1) above 1, with
     P(W <= 1) = alpha / (alpha + beta); a scalar u gives a 0-d array."""
     PB(alpha, beta)  # the law's own check of alpha and beta
-    arr = _as_unit_interval(u)
-    # 1 + beta/alpha, not (alpha + beta)/alpha: the sum may overflow
-    split = 1.0 / (1.0 + beta / alpha)
-    lower = ((1.0 + beta / alpha) * arr) ** (1.0 / beta)
-    with np.errstate(divide="ignore"):
-        upper = ((1.0 + alpha / beta) * (1.0 - arr)) ** (-1.0 / alpha)
-    return np.where(arr < split, lower, upper)
+    return _draw_in_order(_as_unit_interval(u), *_dp_branches(alpha, beta))
 
 
-# law -> draw of its generating exponent W from uniform variates u
-_EXPONENT_SAMPLERS = {
-    Benford: lambda model, u: u,
-    TSPB: lambda model, u: sample_tspp(model.c, u),
-    PB: lambda model, u: sample_dp(model.alpha, model.beta, u),
+# law -> its inverse CDF's branches; Benford's W is U itself
+_BRANCHES = {
+    Benford: lambda model: None,
+    TSPB: lambda model: _tspp_branches(model.c),
+    PB: lambda model: _dp_branches(model.alpha, model.beta),
 }
 
 
-# Uniforms drawn and tallied at a time: each of a chunk's dozen temporaries
-# is 512 KB, where 10^6 draws at once would make each an 8 MB array.
-_SAMPLE_CHUNK = 1 << 16
+# Uniforms drawn and tallied at a time, into 128 KB buffers made once per
+# tally; of 2^12 to 2^16 this ran fastest.
+_SAMPLE_CHUNK = 1 << 14
 
 
 def empirical_digit_pmf(model: ModelParams, n_samples: int, seed: int) -> DigitHistogram:
@@ -122,15 +175,23 @@ def empirical_digit_pmf(model: ModelParams, n_samples: int, seed: int) -> DigitH
     digits of 10^W, and tally.  Deterministic given seed: the uniforms come
     from one default_rng(seed) stream in chunks, the same values as one
     rng.random(n_samples) call, so the counts are those of that one draw."""
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if not (_is_integral(n_samples) and n_samples >= 1):
+        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    n_samples = int(n_samples)
+    branches = _BRANCHES[type(_check_model(model))](model)
     rng = np.random.default_rng(seed)
-    draw = _EXPONENT_SAMPLERS[type(_check_model(model))]
-    counts = np.zeros(9, dtype=np.int64)
-    for start in range(0, n_samples, _SAMPLE_CHUNK):
-        w = draw(model, rng.random(min(_SAMPLE_CHUNK, n_samples - start)))
-        counts += histogram(_digits_from_log10_fractions(w - np.floor(w))).counts
-    return DigitHistogram(counts)
+    size = min(_SAMPLE_CHUNK, n_samples)
+    uniforms, draws, below = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    tally = _CellTally(size)
+    for start in range(0, n_samples, size):
+        n = min(size, n_samples - start)
+        u = rng.random(out=uniforms[:n])
+        if branches is None:  # W = U lies in [0, 1): its own fraction
+            tally.add(u)
+        else:
+            w = _draw_grouped(u, *branches, draws[:n], below[:n])
+            tally.add(np.subtract(w, np.floor(w, out=u), out=w))
+    return tally.digit_histogram()
 
 
 @dataclass(frozen=True)
@@ -164,7 +225,7 @@ def verification_report(model: ModelParams, n_samples: int, seed: int) -> Verifi
     chi2 = chi_square_stat(hist, probs)
     return VerificationReport(
         model=model,
-        n_samples=n_samples,
+        n_samples=n,
         seed=seed,
         expected=tuple(float(p) for p in probs),
         observed=tuple(float(f) for f in hist.frequencies()),

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from genbenford import (
@@ -88,6 +90,14 @@ class TestSampleTspp:
         assert stat < 0.01
 
 
+@pytest.mark.parametrize("draw", [lambda u: sample_tspp(1.0, u),
+                                  lambda u: sample_dp(2.0, 1.0, u)], ids=["tspp", "dp"])
+@pytest.mark.parametrize("u", [math.nan, [0.3, math.nan]], ids=["scalar", "array"])
+def test_nan_uniforms_are_rejected(draw, u):
+    with pytest.raises(ValueError, match=r"u must lie in \[0, 1\)"):
+        draw(u)
+
+
 class TestSampleDp:
     def test_lower_branch(self):
         assert sample_dp(1.0, 1.0, 0.25) == pytest.approx(0.5, abs=1e-15)
@@ -115,6 +125,21 @@ class TestSampleDp:
         # alpha + beta overflows float64; DP(1, alpha, beta) concentrates at 1
         w = sample_dp(1e308, 1e308, [0.1, 0.5, 0.9])
         np.testing.assert_allclose(w, 1.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("alpha,beta", [(3.0, 1.27), (1.0, 2.0), (2.0, 0.5),
+                                            (0.2, 5.0), (1e9, 1.0)])
+    def test_each_branch_bit_for_bit(self, alpha, beta):
+        split = 1.0 / (1.0 + beta / alpha)
+        edge = [0.0, math.nextafter(split, 0.0), split, math.nextafter(split, 1.0),
+                math.nextafter(1.0, 0.0)]
+        u = np.concatenate([np.random.default_rng(3).random(10_000), edge])
+        lower, upper = u < split, u >= split
+        w = sample_dp(alpha, beta, u)
+        np.testing.assert_array_equal(
+            w[lower], ((1.0 + beta / alpha) * u[lower]) ** (1.0 / beta))
+        np.testing.assert_array_equal(
+            w[upper], ((1.0 + alpha / beta) * (1.0 - u[upper])) ** (-1.0 / alpha))
+        assert sample_dp(alpha, beta, 0.3).shape == ()
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
@@ -197,34 +222,77 @@ class TestEmpiricalDigitPmf:
         with pytest.raises(ValueError):
             empirical_digit_pmf(Benford(), 0, seed=1)
 
+    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf, -3, "1000", None])
+    def test_rejects_a_count_that_is_no_integer_ge_1(self, n):
+        with pytest.raises(ValueError, match="n_samples must be an integer >= 1"):
+            empirical_digit_pmf(Benford(), n, seed=1)
+        with pytest.raises(ValueError, match="n_samples must be an integer >= 1"):
+            verification_report(Benford(), n, seed=1)
+
+    def test_an_integral_float_count_is_that_count(self):
+        rep = verification_report(TSPB(2.0), 1000.0, seed=5)
+        assert type(rep.n_samples) is int
+        assert rep == verification_report(TSPB(2.0), 1000, seed=5)
+
 
 _DRAWS = {
-    Benford(): lambda u: u,
-    TSPB(2.5): lambda u: sample_tspp(2.5, u),
-    PB(3, 1.27, 1437): lambda u: sample_dp(3, 1.27, u),
+    Benford: lambda model, u: u,
+    TSPB: lambda model, u: sample_tspp(model.c, u),
+    PB: lambda model, u: sample_dp(model.alpha, model.beta, u),
 }
+
+
+def _one_draw(model, n, seed):
+    """The tally of one draw of n uniforms through the public sampler."""
+    w = _DRAWS[type(model)](model, np.random.default_rng(seed).random(n))
+    return histogram(_digits_from_log10_fractions(w - np.floor(w)))
+
+
+_log_uniform = st.floats(-1.3, 9.0).map(lambda x: 10.0 ** x)
 
 
 class TestChunkedDraws:
     """The draws come in chunks of _SAMPLE_CHUNK and tally as one draw."""
 
-    @pytest.mark.parametrize("model", list(_DRAWS), ids=str)
-    @pytest.mark.parametrize("n", [1, _SAMPLE_CHUNK - 1, _SAMPLE_CHUNK,
-                                   _SAMPLE_CHUNK + 1, 3 * _SAMPLE_CHUNK + 7])
+    @pytest.mark.parametrize("model", [Benford(), TSPB(2.5), PB(3, 1.27, 1437)], ids=str)
+    @pytest.mark.parametrize("n", [1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 3 * 2 ** 16 + 7])
     def test_tally_is_that_of_one_draw(self, model, n):
-        w = _DRAWS[model](np.random.default_rng(11).random(n))
-        one_draw = histogram(_digits_from_log10_fractions(w - np.floor(w)))
-        assert empirical_digit_pmf(model, n, 11) == one_draw
+        assert empirical_digit_pmf(model, n, 11) == _one_draw(model, n, 11)
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(model=st.just(Benford()) | st.floats(0.05, 10.0).map(TSPB)
+           | st.builds(PB, _log_uniform, _log_uniform),
+           n=st.sampled_from([_SAMPLE_CHUNK - 1, _SAMPLE_CHUNK + 1, 3 * _SAMPLE_CHUNK + 7]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(model=TSPB(0.05), n=_SAMPLE_CHUNK + 1, seed=5)  # 27% of draws in the last cell
+    @example(model=TSPB(1.0), n=_SAMPLE_CHUNK + 1, seed=1)
+    @example(model=TSPB(2.0), n=3 * _SAMPLE_CHUNK + 7, seed=2)
+    @example(model=PB(1e9, 0.05), n=_SAMPLE_CHUNK - 1, seed=3)
+    @example(model=PB(0.05, 1e9), n=_SAMPLE_CHUNK + 1, seed=4)
+    def test_tally_by_cells_is_that_of_one_draw(self, model, n, seed):
+        assert empirical_digit_pmf(model, n, seed) == _one_draw(model, n, seed)
+
+    # recorded from the tally that drew and read every digit, before the
+    # tally counted by cells
+    @pytest.mark.parametrize("model,counts", [
+        (Benford(), (300661, 176224, 124836, 97168, 79163, 67112, 58019, 51150, 45667)),
+        (TSPB(2.5), (321142, 159034, 110644, 88713, 75962, 68052, 62487, 58590, 55376)),
+        (PB(3, 1.27, 1437), (332546, 171262, 118351, 91294, 74579, 63797, 54873, 48996, 44302)),
+    ], ids=str)
+    def test_a_million_draws_keep_their_counts(self, model, counts):
+        assert empirical_digit_pmf(model, 1_000_000, 20240811).counts == counts
 
     def test_a_million_draws_stay_small(self):
-        # one draw of 10^6 held a dozen 8 MB temporaries, about 33 MB traced
-        tracemalloc.start()
-        try:
-            empirical_digit_pmf(PB(3, 1.27, 1437), 1_000_000, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8e6
+        # a chunk's buffers take about 0.6 MB; TSPB(0.05) puts 27% of its
+        # draws in the last cell, whose draws go through the rule chunk by chunk
+        for model in (PB(3, 1.27, 1437), TSPB(0.05)):
+            tracemalloc.start()
+            try:
+                empirical_digit_pmf(model, 1_000_000, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5e6, model
 
 
 class TestVerificationReport:
