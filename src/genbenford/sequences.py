@@ -140,10 +140,7 @@ def bell(count: int) -> Iterator[int]:
     row = [1]
     for _ in range(count):
         yield row[-1]
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
+        row = list(accumulate(row, initial=row[-1]))
 
 
 def partition(count: int) -> Iterator[int]:
@@ -283,11 +280,12 @@ def generate(spec: SequenceSpec):
 
 
 # Values read at a time: a sequence is held only as digits.  Each chunk pays
-# a fixed numpy cost in _first_digits (about 18 us, against about 110 us for
-# the whole of a chunk of 1024 cubes, on one core of a shared 2-CPU x86-64
-# host), so larger chunks are cheaper per value; but a chunk of huge ints is
-# held whole, and 1024 fibonacci(30000) terms (up to 6,270 digits each) peak
-# at about 5.5 MB traced, against about 19 MB at 4096; RSS grows with it.
+# a fixed numpy cost in _first_digits (about 19 us, against about 85 us for
+# the whole of a chunk of 1024 cubes, half of that the conversion of the ints
+# to float64, on one core of a shared 2-CPU x86-64 host), so larger chunks
+# are cheaper per value; but a chunk of huge ints is held whole, and 1024
+# fibonacci(30000) terms (up to 6,270 digits each) peak at about 5.5 MB
+# traced, against about 19 MB at 4096; RSS grows with it.
 _HISTOGRAM_CHUNK = 1024
 
 

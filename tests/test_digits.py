@@ -1,22 +1,30 @@
 import math
 import random
 import re
+import warnings
 from dataclasses import fields
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genbenford import (
     DigitHistogram,
+    SequenceSpec,
+    digit_histogram_of,
     first_digit_int,
     first_digit_real,
     histogram,
     histogram_from_percentages,
 )
-from genbenford.digits import _DIGIT_BOUNDS, _digits_from_log10_fractions, _first_digits
+from genbenford.digits import (
+    _DIGIT_BOUNDS,
+    _digits_from_log10_fractions,
+    _first_digits,
+    _settled_digit,
+)
 from oracles import digits_by_search, fibonacci_list, leading_digit, sieve_primes
 
 few = settings(max_examples=25, deadline=None, database=None)
@@ -64,10 +72,11 @@ class TestExactAtAnySize:
 
     def test_mixed_list_matches_the_wrappers_in_order(self):
         values = [7, 2.5, 10 ** 5000 - 1, 0.007, True, 3 * 10 ** 4400 + 1,
-                  1e300, 999, math.sqrt(50), math.nextafter(1000.0, 0.0)]
+                  1e300, 999, math.sqrt(50), math.nextafter(1000.0, 0.0),
+                  np.int64(7), np.float64(0.5), 2 ** 53 + 1, 10 ** 309]
         want = [first_digit_int(v) if isinstance(v, int) else first_digit_real(v)
                 for v in values]
-        assert want == [7, 2, 9, 7, 1, 3, 1, 9, 7, 1]
+        assert want == [7, 2, 9, 7, 1, 3, 1, 9, 7, 1, 7, 5, 9, 1]
         assert _first_digits(values).tolist() == want
 
 
@@ -77,9 +86,17 @@ def _ulps_from(x, n):
     return x
 
 
+# ints that the conversion to float64 rounds, or cannot convert: 10^309
+# makes its whole list take math.log10 value by value
+_ROUNDED_INTS = ([2 ** 53 + d for d in (-3, -2, -1, 1, 2, 3)]
+                 + [10 ** k + d for k in range(15, 23) for d in (-1, 1)]
+                 + [2 ** 63 - 1, 2 ** 63 + 1, 2 ** 64, 10 ** 308 - 1, 10 ** 308 + 1, 10 ** 309])
+
 # values where a digit is hardest to read: d*10^k give or take a few units
-# or ulps, reals just under a power of ten, and ints of up to 10^5 bits
+# or ulps, reals just under a power of ten, ints the conversion rounds, and
+# ints of up to 10^5 bits
 _edge_values = st.one_of(
+    st.sampled_from(_ROUNDED_INTS),
     st.builds(lambda d, k, delta: max(1, d * 10 ** k + delta),
               st.integers(1, 9), st.integers(0, 30_000), st.integers(-3, 3)),
     st.builds(lambda bits, seed: random.Random(seed).getrandbits(bits) | 1 << (bits - 1),
@@ -93,9 +110,47 @@ _edge_values = st.one_of(
 
 @few
 @given(st.lists(_edge_values, min_size=1, max_size=24))
+@example(_ROUNDED_INTS[:-1])
+@example([1, 2, 10 ** 309, 3, 99])
 def test_a_digit_does_not_depend_on_its_chunk_neighbours(chunk):
     digits = _first_digits(chunk).tolist()
     assert digits == [_first_digits([v])[0] for v in chunk]
+
+
+_CHUNK_FILLS = {
+    "ints": list(range(1, 1025)),
+    "reals": [math.sqrt(n) for n in range(1, 1025)],
+    "huge ints": [10 ** 400 + n for n in range(1024)],  # math.log10 value by value
+}
+
+
+@pytest.mark.parametrize("fill", list(_CHUNK_FILLS))
+@pytest.mark.parametrize("where", [0, 511, 1023], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("bad", [0, -3, math.nan, math.inf])
+def test_a_bad_value_inside_a_chunk_is_named(bad, where, fill):
+    chunk = list(_CHUNK_FILLS[fill])
+    chunk[where] = bad
+    message = f"expected positive integers or finite positive reals, got {bad}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _first_digits(chunk)
+
+
+@pytest.mark.parametrize("kind", ["squares", "square_roots"])
+def test_few_values_are_settled_one_by_one(monkeypatch, kind):
+    # a deterministic work counter: the values sent to the per-value
+    # settlement, those that lie on a digit edge (18 squares: 10^2j, 4*10^2j
+    # and 9*10^2j; 25 square roots: d*10^j), and no more than a few others
+    settled = []
+
+    def counted(v, x):
+        settled.append(v)
+        return _settled_digit(v, x)
+
+    monkeypatch.setattr("genbenford.digits._settled_digit", counted)
+    digit_histogram_of(SequenceSpec(kind, 500_000))
+    assert 1 <= len(settled) <= 100
 
 
 def _digit_rule_edges():
