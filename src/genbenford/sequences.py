@@ -7,6 +7,11 @@ integer differences, and partition numbers come from Euler's recurrence over
 a precomputed table of pentagonal offsets.  Keith and idoneal numbers ship as
 bundled data files; the rest are generated from scratch.
 A user's data file is values (`read_values`), not a sequence kind.
+
+The digit histogram of squares, cubes, pentagonal numbers and square roots
+lists no term: these sequences increase, so their first digits are fixed by
+where they cross each digit edge d*10^k, and `digit_histogram_of` finds each
+crossing by bisection on n with one exact integer test per step.
 """
 from __future__ import annotations
 
@@ -280,17 +285,67 @@ def generate(spec: SequenceSpec):
 
 
 # Values read at a time: a sequence is held only as digits.  Each chunk pays
-# a fixed numpy cost in _first_digits (about 19 us, against about 85 us for
-# the whole of a chunk of 1024 cubes, half of that the conversion of the ints
-# to float64, on one core of a shared 2-CPU x86-64 host), so larger chunks
-# are cheaper per value; but a chunk of huge ints is held whole, and 1024
-# fibonacci(30000) terms (up to 6,270 digits each) peak at about 5.5 MB
-# traced, against about 19 MB at 4096; RSS grows with it.
+# a fixed numpy cost in _first_digits (about 20 us, against about 80 us for
+# the whole of a chunk of 1024 partition numbers, half of that the conversion
+# of the ints to float64, on one core of a shared 2-CPU x86-64 host), so
+# larger chunks are cheaper per value; but a chunk of huge ints is held
+# whole, and 1024 fibonacci(30000) terms (up to 6,270 digits each) peak at
+# about 5.5 MB traced, against about 19 MB at 4096; RSS grows with it.
 _HISTOGRAM_CHUNK = 1024
+
+# Whether term n of an increasing closed-form kind lies below the edge E,
+# by exact integer arithmetic: sqrt(n) < E exactly when n < E^2, and
+# n(3n-1) is even, so its half is exact.
+_TERM_BELOW = {
+    "squares": lambda n, edge: n * n < edge,
+    "cubes": lambda n, edge: n ** 3 < edge,
+    "pentagonal": lambda n, edge: n * (3 * n - 1) // 2 < edge,
+    "square_roots": lambda n, edge: n < edge * edge,
+}
+
+
+def _edge_counted_histogram(below, count: int) -> DigitHistogram:
+    """The digit histogram of terms 1..count of an increasing sequence whose
+    first term is at least 1, from `below(n, E)`: whether term n lies below E.
+
+    The terms below each edge d*10^k, d = 2..10, are counted by bisection on
+    n, from the count below the edge before it, for k = 0 .. D-1 with D the
+    last term's digit count; digit d takes the terms from d*10^k to below
+    (d+1)*10^k.  That is at most 9 D (count.bit_length() + 1) tests.
+    """
+    below_edge = [0]  # the counts below 1, 2, ..., 9, 10, 20, ..., 90, 100, 200, ...
+    power = 1
+    while below_edge[-1] < count:
+        for d in range(2, 11):
+            lo, hi = below_edge[-1], count  # the count below d*power lies in lo..hi
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if below(mid, d * power):
+                    lo = mid
+                else:
+                    hi = mid - 1
+            below_edge.append(lo)
+        power *= 10
+    between = [high - low for low, high in zip(below_edge, below_edge[1:])]
+    return DigitHistogram.from_counts([sum(between[d::9]) for d in range(9)])
 
 
 def digit_histogram_of(spec: SequenceSpec) -> DigitHistogram:
-    """Generate the sequence and tally its first digits."""
+    """The digit histogram of the sequence `spec` describes.
+
+    Squares, cubes, pentagonal numbers and square roots increase, so they
+    are counted at the digit edges without listing a term: O(D log count)
+    tests for terms of at most D digits, each a comparison of Python ints,
+    exact at any count.  Every other kind is generated and its first digits
+    tallied `_HISTOGRAM_CHUNK` values at a time.
+
+    The square roots' digits are those of the real roots.  A tally of
+    `first_digit_real(math.sqrt(n))` agrees up to 249,999,999,998 terms;
+    from n = 249,999,999,999 on, its 1e-12 guard gives the roots just below
+    an edge d*10^k the digit of the edge.
+    """
+    if spec.kind in _TERM_BELOW:
+        return _edge_counted_histogram(_TERM_BELOW[spec.kind], spec.param)
     values = iter(generate(spec))
     chunks = iter(lambda: list(islice(values, _HISTOGRAM_CHUNK)), [])
     digits = [_first_digits(chunk).astype(np.int8) for chunk in chunks]

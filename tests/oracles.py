@@ -6,7 +6,9 @@ log10, partition counts from a coin-style DP table instead of the
 pentagonal recurrence, Bell numbers from the binomial convolution instead
 of the triangle, Ulam terms by scanning every candidate instead of keeping
 representation counts, Keith membership from the digit recurrence and Keith
-completeness from a vectorized exhaustive search,
+completeness from a vectorized exhaustive search, the digit counts of
+squares, cubes, pentagonal numbers and square roots from integer roots
+instead of a bisection at each digit edge,
 the digit of a log10 fraction by binary search over the digit bounds
 instead of a table of 1,024 cells,
 the 1-D fit check from a dense parameter grid instead of a golden section
@@ -62,6 +64,52 @@ def leading_digit(n):
         else:
             hi = mid
     return n // _power_of_ten(lo)
+
+
+def sqrt_leading_digit(n):
+    """First digit of sqrt(n) for an int n >= 1: with 100^k <= n < 100^(k+1),
+    sqrt(n) / 10^k lies in [1, 10) and its floor is isqrt(n // 100^k)."""
+    k = 0
+    while 100 ** (k + 1) <= n:
+        k += 1
+    return math.isqrt(n // 100 ** k)
+
+
+def integer_cube_root(x):
+    """floor(x^(1/3)) for an int x >= 0, by Newton's method on ints from
+    2^ceil(b/3) >= x^(1/3), x of b bits, down to the floor."""
+    if x == 0:
+        return 0
+    r = 1 << -(-x.bit_length() // 3)
+    while (s := (2 * r + x // (r * r)) // 3) < r:
+        r = s
+    return r
+
+
+# kind -> how many n >= 1 have term n below the int e >= 1, by an integer
+# root: n^2 < e, n^3 < e, n(3n-1)/2 <= e - 1 (that is, 6n - 1 <= sqrt(24(e-1) + 1))
+# and sqrt(n) < e
+TERMS_BELOW = {
+    "squares": lambda e: math.isqrt(e - 1),
+    "cubes": lambda e: integer_cube_root(e - 1),
+    "pentagonal": lambda e: (1 + math.isqrt(24 * (e - 1) + 1)) // 6,
+    "square_roots": lambda e: e * e - 1,
+}
+
+
+def root_digit_counts(kind, count):
+    """First-digit counts of terms 1..count of squares, cubes, pentagonal
+    numbers or square roots, listing no term: digit d of decade k takes the
+    terms in [d 10^k, (d+1) 10^k), counted by TERMS_BELOW at both ends."""
+    below = TERMS_BELOW[kind]
+    counts = [0] * 9
+    power = 1
+    while below(power) < count:  # some term reaches 10^k
+        for d in range(1, 10):
+            counts[d - 1] += (min(count, below((d + 1) * power))
+                              - min(count, below(d * power)))
+        power *= 10
+    return counts
 
 
 def fibonacci_list(count):

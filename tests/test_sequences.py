@@ -36,13 +36,16 @@ from genbenford import (
 )
 from genbenford.digits import _first_digits
 from oracles import (
+    TERMS_BELOW,
     bell_binomial,
     fibonacci_list,
     is_keith,
     keith_numbers_below,
     leading_digit,
     partitions_dp,
+    root_digit_counts,
     sieve_primes,
+    sqrt_leading_digit,
     ulam_by_definition,
 )
 
@@ -314,6 +317,89 @@ class TestDigitHistogramOf:
             start = 1 if kind in ("fibonacci", "catalan") else 0
             rest = values[start:]
             assert all(b > a for a, b in zip(rest, rest[1:]))
+
+
+EDGE_COUNTED = ("squares", "cubes", "pentagonal", "square_roots")
+
+
+class TestEdgeCountedKinds:
+    """squares, cubes, pentagonal and square_roots are counted at the digit
+    edges by their term tests in seq._TERM_BELOW, listing no term."""
+
+    def test_the_counted_kinds(self):
+        assert tuple(seq._TERM_BELOW) == EDGE_COUNTED
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.sampled_from(EDGE_COUNTED), st.integers(1, 20_000))
+    @example("squares", 1)
+    @example("square_roots", 99)
+    @example("cubes", 20_000)
+    def test_matches_the_values_path(self, kind, count):
+        spec = SequenceSpec(kind, count)
+        expected = histogram(_first_digits(list(generate(spec))))
+        assert digit_histogram_of(spec).counts == expected.counts
+
+    @pytest.mark.parametrize("kind", EDGE_COUNTED)
+    def test_counts_on_each_side_of_every_edge(self, kind):
+        # the last n whose term is below d*10^k, for every edge up to 10^12,
+        # and the counts one either side of it
+        below = TERMS_BELOW[kind]
+        lasts = {below(d * 10 ** k) for k in range(12) for d in range(1, 10)}
+        lasts.add(below(10 ** 12))
+        for count in sorted({n + step for n in lasts for step in (-1, 0, 1)} - {-1, 0}):
+            got = digit_histogram_of(SequenceSpec(kind, count)).counts
+            assert list(got) == root_digit_counts(kind, count), count
+
+    @pytest.mark.parametrize("kind", EDGE_COUNTED)
+    def test_term_test_matches_the_generator(self, kind):
+        # term n is not below floor(term) but is below floor(term) + 1: that
+        # pins an int term to the generator's, and sqrt(n) between the same
+        # ints (math.sqrt's floor is exact this far)
+        below = seq._TERM_BELOW[kind]
+        for n, term in enumerate(generate(SequenceSpec(kind, 10 ** 4)), start=1):
+            floor = math.floor(term)
+            assert not below(n, floor) and below(n, floor + 1), n
+
+    def test_cubes_past_any_listing_take_few_term_tests(self, monkeypatch):
+        # a deterministic work counter: term tests made for 10^15 cubes
+        count = 10 ** 15
+        calls = []
+        term_below = seq._TERM_BELOW["cubes"]
+
+        def counted(n, edge):
+            calls.append(n)
+            return term_below(n, edge)
+
+        monkeypatch.setitem(seq._TERM_BELOW, "cubes", counted)
+        h = digit_histogram_of(SequenceSpec("cubes", count))
+        digits = len(str(count ** 3))
+        assert len(calls) <= 10 * (digits + 1) * (count.bit_length() + 1)
+        assert list(h.counts) == root_digit_counts("cubes", count)
+
+    @staticmethod
+    def added_digit(n):
+        """The digit whose count square_roots(n) adds to square_roots(n - 1)."""
+        low, high = (digit_histogram_of(SequenceSpec("square_roots", c)).counts
+                     for c in (n - 1, n))
+        grown = [b - a for a, b in zip(low, high)]
+        assert sorted(grown) == [0] * 8 + [1]
+        return grown.index(1) + 1
+
+    def test_square_roots_are_exact_at_a_trillion_terms(self):
+        # sqrt(10^12 - 1) = 999999.9999995 starts with 9
+        count = 10 ** 12
+        assert self.added_digit(count - 1) == sqrt_leading_digit(count - 1) == 9
+        assert self.added_digit(count) == sqrt_leading_digit(count) == 1
+        h = digit_histogram_of(SequenceSpec("square_roots", count))
+        assert list(h.counts) == root_digit_counts("square_roots", count)
+
+    def test_square_roots_part_ways_with_the_guarded_real_digit(self):
+        # sqrt(249,999,999,999) = 499999.999999 starts with 4, but lies within
+        # the 1e-12 guard of log10(5 * 10^5), so first_digit_real reads 5
+        n = 249_999_999_999
+        assert self.added_digit(n) == sqrt_leading_digit(n) == 4
+        assert first_digit_real(math.sqrt(n)) == 5
+        assert self.added_digit(n - 1) == first_digit_real(math.sqrt(n - 1)) == 4
 
 
 class TestSpecAndCustomFiles:
