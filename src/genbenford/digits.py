@@ -4,8 +4,9 @@ One routine, `_first_digits`, reads first digits off the fraction of log10,
 taken for a whole list in one conversion to float64 and one numpy log10.
 Integers of any size stay exact: the few whose logarithm lands too close to
 a digit edge for log10's rounding error are settled by integer division.
-Positive reals keep a guard for values a hair below an exact power of ten,
-applied to `math.log10`'s own fraction wherever the guard could matter.
+Positive reals keep a guard that reads a value within 1e-12 (in log10)
+below a digit bound as that bound's digit, so 0.3 reads 3, applied to
+`math.log10`'s own fraction wherever the guard could matter.
 
 A fraction's digit is looked up, not searched for: [0, 1) is cut into 1,024
 cells of width 2^-10, and since the digit bounds log10 d lie at least
@@ -36,8 +37,8 @@ __all__ = [
 _DIGIT_EDGES = np.array([math.log10(d) for d in range(1, 11)])
 _DIGIT_BOUNDS = _DIGIT_EDGES[:-1]
 
-# Real fractions within this distance of a boundary are rounded up onto it.
-# In particular frac >= 1 - eps is treated as an exact power of ten (digit
+# The fraction of a real's log10 within this distance below a bound is read
+# as on it; in particular frac >= 1 - eps is an exact power of ten (digit
 # 1): log10 of 10**k may evaluate to k - 4e-16*k in floating point.
 _BOUNDARY_EPS = 1e-12
 
@@ -48,20 +49,17 @@ _CELL_DIGIT = np.searchsorted(_DIGIT_BOUNDS, np.arange(_CELLS) / _CELLS, side="r
 _CELL_BOUND = np.full(_CELLS, np.inf)
 _CELL_BOUND[(_DIGIT_BOUNDS[1:] * _CELLS).astype(np.intp)] = _DIGIT_BOUNDS[1:]
 
-# The digit of every fraction in a cell with no bound inside, save the last
-# (where f >= 1 reads 1); 0 marks those nine cells, whose digits need the rule.
-_PLAIN_CELL_DIGIT = np.where(np.isinf(_CELL_BOUND), _CELL_DIGIT, 0)
-_PLAIN_CELL_DIGIT[-1] = 0
-_RULE_CELL = _PLAIN_CELL_DIGIT == 0
+# The rule cells, those with a bound inside; the digit of every fraction in
+# each other cell, with 0 on the rule cells.
+_RULE_CELL = np.isfinite(_CELL_BOUND)
+_PLAIN_CELL_DIGIT = np.where(_RULE_CELL, 0, _CELL_DIGIT)
 
 
-def _digits_from_log10_fractions(frac: np.ndarray, eps=_BOUNDARY_EPS) -> np.ndarray:
-    """Digits d with log10 d <= frac + eps < log10(d+1) for frac in [0, 1];
-    frac >= 1 - eps is 1, and NaN is 9."""
-    f = frac + eps
-    # fmin sends f >= 1 and NaN to the last cell, whose digit is 9
-    k = np.fmin(f * _CELLS, _CELLS - 1).astype(np.intp)
-    return np.where(frac >= 1.0 - eps, 1, _CELL_DIGIT[k] + (f >= _CELL_BOUND[k]))
+def _digits_from_log10_fractions(frac: np.ndarray) -> np.ndarray:
+    """Digits d with log10 d <= frac < log10(d+1) for frac in [0, 1); 1.0 and
+    NaN read 9 through the last cell, where fmin sends them."""
+    k = np.fmin(frac * _CELLS, _CELLS - 1).astype(np.intp)
+    return _CELL_DIGIT[k] + (frac >= _CELL_BOUND[k])
 
 
 def _first_digits(values: list) -> np.ndarray:
@@ -98,7 +96,7 @@ def _first_digits(values: list) -> np.ndarray:
         raise ValueError("expected positive integers or finite positive reals, got "
                          f"{next(v for v in values if not 0 < v < math.inf)}")
     frac = x - np.floor(x)  # x % 1.0 for finite x, at a tenth of the cost
-    digits = _digits_from_log10_fractions(frac, 0.0)
+    digits = _digits_from_log10_fractions(frac)
     edge_gap = np.minimum(frac - _DIGIT_EDGES[digits - 1], _DIGIT_EDGES[digits] - frac)
     margin = 2 * max(2e-12, 1e-13 + 1e-14 * x.max(initial=0.0))
     for i in np.flatnonzero(edge_gap < margin):
@@ -115,7 +113,8 @@ def _settled_digit(v, x: float):
         while q >= 10:
             q //= 10
         return q
-    return _digits_from_log10_fractions(np.float64(math.log10(v)) % 1.0)
+    frac = np.float64(math.log10(v)) % 1.0
+    return 1 if frac >= 1 - _BOUNDARY_EPS else _digits_from_log10_fractions(frac + _BOUNDARY_EPS)
 
 
 def _is_integral(v) -> bool:
@@ -134,7 +133,8 @@ def first_digit_real(x: float) -> int:
     """Leading decimal digit of a positive real.
 
     Computed as floor(10**frac(log10 x)) via boundary comparison in log
-    space; values within 1e-12 of an exact power of ten report digit 1.
+    space; a value within 1e-12 (in log10) below a digit bound d·10^k
+    reports d, so 0.3 reports 3 and a hair below 10^k reports 1.
     """
     return int(_first_digits([float(x)])[0])
 
@@ -199,35 +199,33 @@ def histogram(digits) -> DigitHistogram:
 class _CellTally:
     """The histogram of `_digits_from_log10_fractions` over fractions added a
     chunk of at most `size` at a time, in buffers made once.  A chunk is
-    counted by cell; only the fractions in the nine cells marked in
-    `_RULE_CELL` (about 1% of a spread-out law's) go through the rule, and
-    through `histogram`, chunk by chunk."""
+    counted by cell; only the fractions in the eight rule cells (about 1% of
+    a spread-out law's) go through the rule, chunk by chunk."""
 
     def __init__(self, size: int):
         self._scaled = np.empty(size)
         self._cell = np.empty(size, dtype=np.intp)
         self._rule = np.empty(size, dtype=bool)
         self._cells = np.zeros(_CELLS, dtype=np.int64)
-        self._rule_counts = np.zeros(9, dtype=np.int64)
+        self._counts = np.zeros(10, dtype=np.int64)  # the rule cells' digits
 
     def add(self, frac: np.ndarray) -> None:
         """Tally the digits of fractions in [0, 1] and NaN, as the rule reads them."""
         n = len(frac)
-        # the rule's own cell: fmin((frac + eps) * 1024, 1023), truncated
-        scaled = np.add(frac, _BOUNDARY_EPS, out=self._scaled[:n])
-        scaled *= _CELLS
+        # the rule's own cell: fmin(frac * 1024, 1023), truncated
+        scaled = np.multiply(frac, _CELLS, out=self._scaled[:n])
         np.fmin(scaled, _CELLS - 1, out=scaled)
         cell = self._cell[:n]
         np.copyto(cell, scaled, casting="unsafe")
         self._cells += np.bincount(cell, minlength=_CELLS)
         # cells lie in 0..1023; mode "raise" would copy `out` first
         rule = np.take(_RULE_CELL, cell, out=self._rule[:n], mode="clip")
-        self._rule_counts += histogram(_digits_from_log10_fractions(frac[rule])).counts
+        self._counts += np.bincount(_digits_from_log10_fractions(frac[rule]), minlength=10)
 
     def digit_histogram(self) -> DigitHistogram:
-        counts = np.zeros(10, dtype=np.int64)
+        counts = self._counts.copy()
         np.add.at(counts, _PLAIN_CELL_DIGIT, self._cells)  # the rule cells land on 0
-        return DigitHistogram.from_counts(counts[1:] + self._rule_counts)
+        return DigitHistogram.from_counts(counts[1:])
 
 
 def histogram_from_percentages(pct: Sequence[float], n: int) -> DigitHistogram:

@@ -26,7 +26,10 @@ the Hurwitz zeta form zeta(a, 1 + log d) - zeta(a, m + 1 + log d)
 m, which is float64 precision for the pmf.
 
 Each law's __post_init__ is the one check of its parameters: the functions
-here, the samplers and the CLI construct the law to check theirs.
+here, the samplers and the CLI construct the law to check theirs.  Its
+`exponent_branches()` is the inverse CDF of the W whose 10^W has the law:
+W is lower(u) for u < split and upper(u) past it.  A branch overwrites the
+uniforms it is given with their draws and returns them: one power per draw.
 """
 from __future__ import annotations
 
@@ -88,6 +91,9 @@ class Benford:
     def pmf(self) -> np.ndarray:
         return _L10[1:] - _L10[:9]
 
+    def exponent_branches(self) -> None:
+        """None: W is the uniform U itself."""
+
 
 @dataclass(frozen=True)
 class TSPB:
@@ -104,6 +110,23 @@ class TSPB:
 
     def pmf(self) -> np.ndarray:
         return _tspb_probs(self.c)
+
+    def exponent_branches(self):
+        """TSPP(1, c): W = (2u)^(1/c) up to the mode, 1 at u = 1/2; past it
+        W - 2 = -max(s, 5e-324), s = (2(1-u))^(1/c) > 0 for u < 1, whose
+        fraction 1 - s keeps the tiny s that 2 - s would round to 2."""
+        def lower(w):
+            w *= 2.0
+            w **= 1.0 / self.c
+            return w
+
+        def upper(w):
+            np.subtract(1.0, w, out=w)
+            w *= 2.0
+            w **= 1.0 / self.c
+            np.maximum(w, 5e-324, out=w)
+            return np.negative(w, out=w)
+        return 0.5, lower, upper
 
 
 @dataclass(frozen=True)
@@ -129,6 +152,26 @@ class PB:
 
     def pmf(self) -> np.ndarray:
         return _pb_probs(self.alpha, self.beta, self.m)
+
+    def exponent_branches(self):
+        """DP(1, alpha, beta): W = ((1 + beta/alpha) u)^(1/beta) below the
+        split alpha/(alpha + beta), ((1 + alpha/beta)(1 - u))^(-1/alpha)
+        from it on."""
+        alpha, beta = self.alpha, self.beta
+
+        def lower(w):
+            w *= 1.0 + beta / alpha
+            w **= 1.0 / beta
+            return w
+
+        def upper(w):
+            np.subtract(1.0, w, out=w)
+            w *= 1.0 + alpha / beta
+            with np.errstate(divide="ignore"):
+                w **= -1.0 / alpha
+            return w
+        # 1 + beta/alpha, not (alpha + beta)/alpha: the sum may overflow
+        return 1.0 / (1.0 + beta / alpha), lower, upper
 
 
 ModelParams = Union[Benford, TSPB, PB]

@@ -6,8 +6,9 @@ digit of 10^W follows TSPB(c); if W follows the double Pareto law
 DP(1, alpha, beta), the first digit of 10^W follows PB(alpha, beta).
 This module draws W by inverse-CDF sampling, extracts first digits, and
 compares the empirical histogram against the analytic mass functions.
-Each law's inverse CDF is one pair of branch functions, one power per draw,
-which the public samplers and the tally both call.  The tally draws from one
+Each law's inverse CDF is its own `exponent_branches()`, one power per draw,
+which the public samplers and the tally both call; the tally reads each
+draw's fraction with no guard.  The tally draws from one
 random stream in chunks of 2^14 into buffers made once, and counts each chunk
 by the digit cells of its log10 fractions before the next is drawn; the
 stream gives the same values in chunks as in one draw, and a count does not
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digits import DigitHistogram, _CellTally, _is_integral
-from .distributions import PB, TSPB, Benford, ModelParams, _check_model, pmf_vector
+from .distributions import PB, TSPB, ModelParams, _check_model, pmf_vector
 from .fitting import chi_square_stat
 
 __all__ = [
@@ -80,44 +81,6 @@ def _as_unit_interval(u):
     return arr
 
 
-# Each two-sided law's inverse CDF as (split, lower, upper): W is lower(u) for
-# u < split and upper(u) past it.  A branch overwrites the uniforms it is
-# given with their draws and returns them: one power per draw.
-
-def _tspp_branches(c: float):
-    """TSPP(1, c): (2u)^(1/c) up to the mode, 2 - (2(1-u))^(1/c) past it
-    (both read exactly 1 at u = 1/2)."""
-    def lower(w):
-        w *= 2.0
-        w **= 1.0 / c
-        return w
-
-    def upper(w):
-        np.subtract(1.0, w, out=w)
-        w *= 2.0
-        w **= 1.0 / c
-        return np.subtract(2.0, w, out=w)
-    return 0.5, lower, upper
-
-
-def _dp_branches(alpha: float, beta: float):
-    """DP(1, alpha, beta): ((1 + beta/alpha) u)^(1/beta) below the split,
-    ((1 + alpha/beta)(1 - u))^(-1/alpha) from it on."""
-    def lower(w):
-        w *= 1.0 + beta / alpha
-        w **= 1.0 / beta
-        return w
-
-    def upper(w):
-        np.subtract(1.0, w, out=w)
-        w *= 1.0 + alpha / beta
-        with np.errstate(divide="ignore"):
-            w **= -1.0 / alpha
-        return w
-    # 1 + beta/alpha, not (alpha + beta)/alpha: the sum may overflow
-    return 1.0 / (1.0 + beta / alpha), lower, upper
-
-
 def _draw_in_order(u: np.ndarray, split: float, lower, upper) -> np.ndarray:
     """The draws of the uniforms u, in their order."""
     below = u < split
@@ -145,24 +108,18 @@ def sample_tspp(c: float, u) -> np.ndarray:
 
     TSPP(1, 1) is uniform(0, 2); TSPP(1, 2) is triangular(0, 1, 2).
     """
-    TSPB(c)  # the law's own check of c
-    return _draw_in_order(_as_unit_interval(u), *_tspp_branches(c))
+    branches = TSPB(c).exponent_branches()  # the law's own check of c comes first
+    w = _draw_in_order(_as_unit_interval(u), *branches)
+    w[w < 0] += 2.0  # the upper branch draws W - 2
+    return w
 
 
 def sample_dp(alpha: float, beta: float, u) -> np.ndarray:
     """Inverse-CDF draw from the double Pareto law DP(1, alpha, beta):
     density ~ w^(beta-1) below 1 and w^(-alpha-1) above 1, with
     P(W <= 1) = alpha / (alpha + beta); a scalar u gives a 0-d array."""
-    PB(alpha, beta)  # the law's own check of alpha and beta
-    return _draw_in_order(_as_unit_interval(u), *_dp_branches(alpha, beta))
-
-
-# law -> its inverse CDF's branches; Benford's W is U itself
-_BRANCHES = {
-    Benford: lambda model: None,
-    TSPB: lambda model: _tspp_branches(model.c),
-    PB: lambda model: _dp_branches(model.alpha, model.beta),
-}
+    branches = PB(alpha, beta).exponent_branches()  # the law's own check comes first
+    return _draw_in_order(_as_unit_interval(u), *branches)
 
 
 # Uniforms drawn and tallied at a time, into 128 KB buffers made once per
@@ -178,7 +135,7 @@ def empirical_digit_pmf(model: ModelParams, n_samples: int, seed: int) -> DigitH
     if not (_is_integral(n_samples) and n_samples >= 1):
         raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     n_samples = int(n_samples)
-    branches = _BRANCHES[type(_check_model(model))](model)
+    branches = _check_model(model).exponent_branches()
     rng = np.random.default_rng(seed)
     size = min(_SAMPLE_CHUNK, n_samples)
     uniforms, draws, below = np.empty(size), np.empty(size), np.empty(size, dtype=bool)

@@ -256,12 +256,10 @@ def pb_dense_grid_min(counts, m):
     return float(min(polished))
 
 
-def digits_by_search(frac, eps):
-    """Digits d with log10 d <= frac + eps < log10(d+1), found by binary
-    search over log10 1..9; frac >= 1 - eps is 1, and NaN sorts past every
-    bound, to 9."""
-    d = np.searchsorted(_LOG10[:-1], frac + eps, side="right")
-    return np.where(frac >= 1.0 - eps, 1, d)
+def digits_by_search(frac):
+    """Digits d with log10 d <= frac < log10(d+1), found by binary search
+    over log10 1..9; 1.0 and NaN sort past every bound, to 9."""
+    return np.searchsorted(_LOG10[:-1], frac, side="right")
 
 
 def tspp_cdf(w, alpha, c):

@@ -21,6 +21,7 @@ from genbenford import (
     histogram_from_percentages,
 )
 from genbenford.digits import (
+    _BOUNDARY_EPS,
     _DIGIT_BOUNDS,
     _digits_from_log10_fractions,
     _first_digits,
@@ -161,38 +162,42 @@ def test_few_values_are_settled_one_by_one(monkeypatch, kind):
 
 def _digit_rule_edges():
     """Fractions where a digit is hardest to read: each bound, the point
-    eps = 1e-12 below it and 1 - 1e-12, each give or take one ulp, plus the
-    ends of [0, 1] and NaN."""
+    1e-12 below it and 1 - 1e-12, each give or take one ulp, plus the ends
+    of [0, 1] and NaN."""
     centres = list(_DIGIT_BOUNDS[1:]) + [b - 1e-12 for b in _DIGIT_BOUNDS[1:]]
     centres.append(1.0 - 1e-12)
     edges = [math.nextafter(c, d) for c in centres for d in (0.0, c, 1.0)]
     return edges + [0.0, -0.0, 5e-324, math.nextafter(1.0, 0.0), 1.0, math.nan]
 
 
-@pytest.mark.parametrize("eps", [0.0, 1e-12])
+# the rule's inputs: a draw's fraction as it is, and a real's fraction
+# shifted by the guard, as _settled_digit passes it
+@pytest.mark.parametrize("shift", [0.0, _BOUNDARY_EPS])
 class TestDigitRule:
-    """The cell table gives the digit a binary search over the bounds gives."""
+    """The cell table gives the digit a binary search over the bounds gives,
+    with no guard of its own: a fraction one ulp below a bound reads the
+    digit below, and 1.0 and NaN read 9."""
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=64))
-    def test_matches_the_search_on_random_fractions(self, eps, fracs):
-        frac = np.array(fracs)
-        np.testing.assert_array_equal(_digits_from_log10_fractions(frac, eps),
-                                      digits_by_search(frac, eps))
+    def test_matches_the_search_on_random_fractions(self, shift, fracs):
+        frac = np.array(fracs) + shift
+        np.testing.assert_array_equal(_digits_from_log10_fractions(frac),
+                                      digits_by_search(frac))
 
-    def test_matches_the_search_next_to_every_edge(self, eps):
-        frac = np.array(_digit_rule_edges())
-        digits = _digits_from_log10_fractions(frac, eps)
-        np.testing.assert_array_equal(digits, digits_by_search(frac, eps))
-        assert digits[-1] == 9  # NaN
+    def test_matches_the_search_next_to_every_edge(self, shift):
+        frac = np.array(_digit_rule_edges()) + shift
+        digits = _digits_from_log10_fractions(frac)
+        np.testing.assert_array_equal(digits, digits_by_search(frac))
+        assert digits[-2:].tolist() == [9, 9]  # 1.0 and NaN
 
-    def test_a_0d_fraction_gives_a_0d_digit(self, eps):
-        # _first_digits passes one fraction at a time, as a numpy scalar
+    def test_a_0d_fraction_gives_a_0d_digit(self, shift):
+        # _settled_digit passes one fraction at a time, as a numpy scalar
         for x in _digit_rule_edges():
-            for frac in (np.float64(x), np.array(x)):
-                digit = _digits_from_log10_fractions(frac, eps)
+            for frac in (np.float64(x + shift), np.array(x + shift)):
+                digit = _digits_from_log10_fractions(frac)
                 assert np.shape(digit) == ()
-                assert digit == digits_by_search(frac, eps), x
+                assert digit == digits_by_search(frac), x
 
 
 class TestFirstDigitReal:

@@ -23,7 +23,7 @@ from genbenford import (
     verification_report,
 )
 from genbenford.digits import _digits_from_log10_fractions
-from genbenford.sampling import _SAMPLE_CHUNK
+from genbenford.sampling import _SAMPLE_CHUNK, _draw_in_order
 from oracles import dp_cdf, tspp_cdf
 
 
@@ -88,6 +88,13 @@ class TestSampleTspp:
         w = sample_tspp(c, rng.random(100_000))
         stat = stats.kstest(w, lambda x: tspp_cdf(x, 1.0, c)).statistic
         assert stat < 0.01
+
+
+def test_the_law_checks_its_parameters_before_u_is_checked():
+    with pytest.raises(ValueError, match="^c must be a positive real"):
+        sample_tspp(-1.0, 2.0)
+    with pytest.raises(ValueError, match="^alpha must be a positive real"):
+        sample_dp(0.0, 1.0, 2.0)
 
 
 @pytest.mark.parametrize("draw", [lambda u: sample_tspp(1.0, u),
@@ -175,9 +182,11 @@ class TestFirstDigitOfExponent:
         assert first_digit_real(10 ** w) == digit
 
     def test_boundary_guard_snaps_to_digit(self):
-        # frac lands a float rounding error below log10(9): report 9
+        # frac lands a float rounding error below log10(9).  The sampler reads
+        # the draw as the float it is, with no guard: 10^w = 89.99999999999998,
+        # digit 8.  first_digit_real's guard reads the real 10^w as 9.
         w = 1.0 + math.log10(9.0)
-        assert _sampler_digit(w) == 9
+        assert _sampler_digit(w) == 8
         assert first_digit_real(10 ** w) == 9
 
 
@@ -235,16 +244,13 @@ class TestEmpiricalDigitPmf:
         assert rep == verification_report(TSPB(2.0), 1000, seed=5)
 
 
-_DRAWS = {
-    Benford: lambda model, u: u,
-    TSPB: lambda model, u: sample_tspp(model.c, u),
-    PB: lambda model, u: sample_dp(model.alpha, model.beta, u),
-}
-
-
 def _one_draw(model, n, seed):
-    """The tally of one draw of n uniforms through the public sampler."""
-    w = _DRAWS[type(model)](model, np.random.default_rng(seed).random(n))
+    """The tally of one draw of n uniforms through the law's own branches,
+    unshifted: TSPB's upper branch draws W - 2, whose fraction keeps a tiny
+    2 - W that W itself rounds away."""
+    u = np.random.default_rng(seed).random(n)
+    branches = model.exponent_branches()
+    w = u if branches is None else _draw_in_order(u, *branches)
     return histogram(_digits_from_log10_fractions(w - np.floor(w)))
 
 
@@ -284,7 +290,7 @@ class TestChunkedDraws:
 
     def test_a_million_draws_stay_small(self):
         # a chunk's buffers take about 0.6 MB; TSPB(0.05) puts 27% of its
-        # draws in the last cell, whose draws go through the rule chunk by chunk
+        # draws in the last cell, which is counted by cell like the others
         for model in (PB(3, 1.27, 1437), TSPB(0.05)):
             tracemalloc.start()
             try:
@@ -302,6 +308,12 @@ class TestVerificationReport:
         assert rep.passed()
         assert rep.max_abs_z < 4.0
         assert rep.chi_square >= 0.0
+
+    @pytest.mark.parametrize("c", [1e-5, 1e-3, 0.01, 0.05])
+    def test_tspb_passes_where_its_draws_crowd_an_integer_exponent(self, c):
+        # TSPP(1, c) at small c puts most draws within 1e-12 of W = 2, whose
+        # 10^W = 99.99... has digit 9; read as 2 - s rounded, they read 1
+        assert verification_report(TSPB(c), 1_000_000, seed=20240811).passed()
 
     def test_small_n_still_well_formed(self):
         rep = verification_report(Benford(), 1_000, seed=1)

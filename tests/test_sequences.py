@@ -281,7 +281,9 @@ class TestDigitHistogramOf:
                              first_digit_int(v) for v in generate(spec))
         assert digit_histogram_of(spec).counts == expected.counts
 
-    @pytest.mark.parametrize("kind,param", EVERY_KIND)
+    # the kinds counted at the digit edges never read _HISTOGRAM_CHUNK
+    @pytest.mark.parametrize("kind,param", [(kind, param) for kind, param in EVERY_KIND
+                                            if kind not in seq._TERM_BELOW])
     def test_chunking_does_not_change_the_histogram(self, kind, param, monkeypatch):
         spec = SequenceSpec(kind, param)
         whole = digit_histogram_of(spec).counts
