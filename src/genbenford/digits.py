@@ -196,36 +196,20 @@ def histogram(digits) -> DigitHistogram:
                                                   minlength=10)[1:])
 
 
-class _CellTally:
-    """The histogram of `_digits_from_log10_fractions` over fractions added a
-    chunk of at most `size` at a time, in buffers made once.  A chunk is
-    counted by cell; only the fractions in the eight rule cells (about 1% of
-    a spread-out law's) go through the rule, chunk by chunk."""
-
-    def __init__(self, size: int):
-        self._scaled = np.empty(size)
-        self._cell = np.empty(size, dtype=np.intp)
-        self._rule = np.empty(size, dtype=bool)
-        self._cells = np.zeros(_CELLS, dtype=np.int64)
-        self._counts = np.zeros(10, dtype=np.int64)  # the rule cells' digits
-
-    def add(self, frac: np.ndarray) -> None:
-        """Tally the digits of fractions in [0, 1] and NaN, as the rule reads them."""
-        n = len(frac)
-        # the rule's own cell: fmin(frac * 1024, 1023), truncated
-        scaled = np.multiply(frac, _CELLS, out=self._scaled[:n])
-        np.fmin(scaled, _CELLS - 1, out=scaled)
-        cell = self._cell[:n]
-        np.copyto(cell, scaled, casting="unsafe")
-        self._cells += np.bincount(cell, minlength=_CELLS)
-        # cells lie in 0..1023; mode "raise" would copy `out` first
-        rule = np.take(_RULE_CELL, cell, out=self._rule[:n], mode="clip")
-        self._counts += np.bincount(_digits_from_log10_fractions(frac[rule]), minlength=10)
-
-    def digit_histogram(self) -> DigitHistogram:
-        counts = self._counts.copy()
-        np.add.at(counts, _PLAIN_CELL_DIGIT, self._cells)  # the rule cells land on 0
-        return DigitHistogram.from_counts(counts[1:])
+def _fraction_histogram(chunks) -> DigitHistogram:
+    """The histogram of `_digits_from_log10_fractions` over chunks of
+    fractions in [0, 1] and NaN.  A chunk is counted by cell; only the
+    fractions in the eight rule cells (about 1% of a spread-out law's) go
+    through the rule."""
+    cells = np.zeros(_CELLS, dtype=np.int64)
+    counts = np.zeros(10, dtype=np.int64)  # the rule cells' digits
+    for frac in chunks:
+        cell = np.fmin(frac * _CELLS, _CELLS - 1).astype(np.intp)  # the rule's own cell
+        cells += np.bincount(cell, minlength=_CELLS)
+        counts += np.bincount(_digits_from_log10_fractions(frac[_RULE_CELL[cell]]),
+                              minlength=10)
+    np.add.at(counts, _PLAIN_CELL_DIGIT, cells)  # the rule cells land on 0
+    return DigitHistogram.from_counts(counts[1:])
 
 
 def histogram_from_percentages(pct: Sequence[float], n: int) -> DigitHistogram:

@@ -28,8 +28,8 @@ m, which is float64 precision for the pmf.
 Each law's __post_init__ is the one check of its parameters: the functions
 here, the samplers and the CLI construct the law to check theirs.  Its
 `exponent_branches()` is the inverse CDF of the W whose 10^W has the law:
-W is lower(u) for u < split and upper(u) past it.  A branch overwrites the
-uniforms it is given with their draws and returns them: one power per draw.
+W is lower(u) for u < split and upper(u) past it, each an array function
+of the uniforms that returns their draws as a new array: one power per draw.
 """
 from __future__ import annotations
 
@@ -115,18 +115,9 @@ class TSPB:
         """TSPP(1, c): W = (2u)^(1/c) up to the mode, 1 at u = 1/2; past it
         W - 2 = -max(s, 5e-324), s = (2(1-u))^(1/c) > 0 for u < 1, whose
         fraction 1 - s keeps the tiny s that 2 - s would round to 2."""
-        def lower(w):
-            w *= 2.0
-            w **= 1.0 / self.c
-            return w
-
-        def upper(w):
-            np.subtract(1.0, w, out=w)
-            w *= 2.0
-            w **= 1.0 / self.c
-            np.maximum(w, 5e-324, out=w)
-            return np.negative(w, out=w)
-        return 0.5, lower, upper
+        c = self.c
+        return (0.5, lambda u: (2.0 * u) ** (1.0 / c),
+                lambda u: -np.maximum((2.0 * (1.0 - u)) ** (1.0 / c), 5e-324))
 
 
 @dataclass(frozen=True)
@@ -158,20 +149,11 @@ class PB:
         split alpha/(alpha + beta), ((1 + alpha/beta)(1 - u))^(-1/alpha)
         from it on."""
         alpha, beta = self.alpha, self.beta
-
-        def lower(w):
-            w *= 1.0 + beta / alpha
-            w **= 1.0 / beta
-            return w
-
-        def upper(w):
-            np.subtract(1.0, w, out=w)
-            w *= 1.0 + alpha / beta
-            with np.errstate(divide="ignore"):
-                w **= -1.0 / alpha
-            return w
-        # 1 + beta/alpha, not (alpha + beta)/alpha: the sum may overflow
-        return 1.0 / (1.0 + beta / alpha), lower, upper
+        # 1 + beta/alpha, not (alpha + beta)/alpha: the sum may overflow; the
+        # upper base is at least 1 - u >= 2^-53 > 0 for u < 1
+        return (1.0 / (1.0 + beta / alpha),
+                lambda u: (u * (1.0 + beta / alpha)) ** (1.0 / beta),
+                lambda u: ((1.0 - u) * (1.0 + alpha / beta)) ** (-1.0 / alpha))
 
 
 ModelParams = Union[Benford, TSPB, PB]

@@ -8,12 +8,11 @@ This module draws W by inverse-CDF sampling, extracts first digits, and
 compares the empirical histogram against the analytic mass functions.
 Each law's inverse CDF is its own `exponent_branches()`, one power per draw,
 which the public samplers and the tally both call; the tally reads each
-draw's fraction with no guard.  The tally draws from one
-random stream in chunks of 2^14 into buffers made once, and counts each chunk
-by the digit cells of its log10 fractions before the next is drawn; the
-stream gives the same values in chunks as in one draw, and a count does not
-depend on order, so the tally is that of one draw, in under 1 MB whatever
-the sample size.
+draw's fraction with no guard.  The tally draws from one random stream in
+chunks of 2^14 and counts each chunk by the digit cells of its log10
+fractions before the next is drawn; the stream gives the same values in
+chunks as in one draw, and a count does not depend on order, so the tally is
+that of one draw, in under 1 MB whatever the sample size.
 
 The double Pareto exponents come from geometric Brownian motion observed
 at an exponentially distributed time: alpha and -beta are the roots of
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digits import DigitHistogram, _CellTally, _is_integral
+from .digits import DigitHistogram, _fraction_histogram, _is_integral
 from .distributions import PB, TSPB, ModelParams, _check_model, pmf_vector
 from .fitting import chi_square_stat
 
@@ -90,17 +89,6 @@ def _draw_in_order(u: np.ndarray, split: float, lower, upper) -> np.ndarray:
     return w
 
 
-def _draw_grouped(u, split, lower, upper, w, below) -> np.ndarray:
-    """The draws of _draw_in_order into w, those below the split first; below
-    is a scratch mask.  On a random mask two compress passes cost less than
-    one select or boolean index, whose branches the CPU cannot predict."""
-    np.less(u, split, out=below)
-    n_lower = np.count_nonzero(below)
-    lower(np.compress(below, u, out=w[:n_lower]))
-    upper(np.compress(np.logical_not(below, out=below), u, out=w[n_lower:]))
-    return w
-
-
 def sample_tspp(c: float, u) -> np.ndarray:
     """Inverse-CDF draw from TSPP(1, c), the two-sided power law on (0, 2)
     with mode 1 and shape c; u is one or many uniform(0,1) variates, and a
@@ -122,8 +110,7 @@ def sample_dp(alpha: float, beta: float, u) -> np.ndarray:
     return _draw_in_order(_as_unit_interval(u), *branches)
 
 
-# Uniforms drawn and tallied at a time, into 128 KB buffers made once per
-# tally; of 2^12 to 2^16 this ran fastest.
+# Uniforms drawn and tallied at a time; of 2^12 to 2^16 this ran fastest.
 _SAMPLE_CHUNK = 1 << 14
 
 
@@ -137,18 +124,19 @@ def empirical_digit_pmf(model: ModelParams, n_samples: int, seed: int) -> DigitH
     n_samples = int(n_samples)
     branches = _check_model(model).exponent_branches()
     rng = np.random.default_rng(seed)
-    size = min(_SAMPLE_CHUNK, n_samples)
-    uniforms, draws, below = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
-    tally = _CellTally(size)
-    for start in range(0, n_samples, size):
-        n = min(size, n_samples - start)
-        u = rng.random(out=uniforms[:n])
-        if branches is None:  # W = U lies in [0, 1): its own fraction
-            tally.add(u)
-        else:
-            w = _draw_grouped(u, *branches, draws[:n], below[:n])
-            tally.add(np.subtract(w, np.floor(w, out=u), out=w))
-    return tally.digit_histogram()
+
+    def fractions():
+        for start in range(0, n_samples, _SAMPLE_CHUNK):
+            u = rng.random(min(_SAMPLE_CHUNK, n_samples - start))
+            if branches is None:  # W = U lies in [0, 1): its own fraction
+                yield u
+            else:  # grouped, not in order: on a random mask two compress passes
+                # cost less than a boolean index, whose branches the CPU cannot predict
+                split, lower, upper = branches
+                below = u < split
+                w = np.concatenate([lower(np.compress(below, u)), upper(np.compress(~below, u))])
+                yield w - np.floor(w)
+    return _fraction_histogram(fractions())
 
 
 @dataclass(frozen=True)
@@ -173,9 +161,15 @@ class VerificationReport:
 
 def verification_report(model: ModelParams, n_samples: int, seed: int) -> VerificationReport:
     """Sample the model, compare against its analytic pmf, and report
-    per-digit z-scores plus the overall chi-square."""
-    hist = empirical_digit_pmf(model, n_samples, seed)
+    per-digit z-scores plus the overall chi-square.  A pmf whose missing mass
+    (PB's truncation deficit) would hold at least one of the draws, which the
+    tally still reads as digits, raises ValueError before any draw."""
     probs = pmf_vector(model)
+    missing = 1.0 - math.fsum(probs)
+    if _is_integral(n_samples) and n_samples * missing >= 1:
+        raise ValueError(f"the pmf lacks mass {missing:.3g}, about {n_samples * missing:.0f} "
+                         f"of the {n_samples} draws: raise the truncation m")
+    hist = empirical_digit_pmf(model, n_samples, seed)
     counts = np.asarray(hist.counts, dtype=float)
     n = hist.sample_size
     z = (counts - n * probs) / np.sqrt(n * probs * (1.0 - probs))

@@ -279,6 +279,15 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--model", "benford", "--n", "10")
         assert code == 2
 
+    def test_a_truncation_deficit_holding_draws_is_a_failure(self, capsys):
+        # 12.4% of DP(1, 0.05, 3)'s draws lie past W = m + 1, where PB's
+        # pmf has no mass; they used to give a FAIL with max |z| = 349
+        code, out, err = run(capsys, "verify", "--model", "pb", "--alpha", "0.05", "--beta", "3",
+                             "--m", str(10 ** 18), "--n", "1000000")
+        assert (code, out) == (1, "")
+        assert err == ("failure: the pmf lacks mass 0.124, about 123829 of the 1000000 "
+                       "draws: raise the truncation m\n")
+
     def test_deterministic(self, capsys):
         _, a, _ = run(capsys, "verify", "--model", "benford", "--n", "5000",
                       "--seed", "3", "--format", "csv")

@@ -17,6 +17,7 @@ from genbenford import (
     first_digit_real,
     gbm_char_roots,
     histogram,
+    pb_truncation_deficit,
     pmf_vector,
     sample_dp,
     sample_tspp,
@@ -88,6 +89,22 @@ class TestSampleTspp:
         w = sample_tspp(c, rng.random(100_000))
         stat = stats.kstest(w, lambda x: tspp_cdf(x, 1.0, c)).statistic
         assert stat < 0.01
+
+
+@pytest.mark.parametrize("model", [TSPB(0.05), TSPB(2.5), PB(3.0, 1.27), PB(1e9, 0.05)], ids=str)
+def test_branches_leave_their_uniforms_alone(model):
+    u = np.concatenate([np.random.default_rng(3).random(10_000), [0.0, 0.5, math.nextafter(1.0, 0.0)]])
+    u.flags.writeable = False  # a branch writing into u raises
+    kept = u.copy()
+    split, lower, upper = model.exponent_branches()
+    if isinstance(model, TSPB):
+        w, shift = sample_tspp(model.c, u), 2.0  # the upper branch draws W - 2
+    else:
+        w, shift = sample_dp(model.alpha, model.beta, u), 0.0
+    below = u < split
+    np.testing.assert_array_equal(lower(u)[below], w[below])
+    np.testing.assert_array_equal(upper(u)[~below] + shift, w[~below])
+    np.testing.assert_array_equal(u, kept)
 
 
 def test_the_law_checks_its_parameters_before_u_is_checked():
@@ -289,8 +306,9 @@ class TestChunkedDraws:
         assert empirical_digit_pmf(model, 1_000_000, 20240811).counts == counts
 
     def test_a_million_draws_stay_small(self):
-        # a chunk's buffers take about 0.6 MB; TSPB(0.05) puts 27% of its
-        # draws in the last cell, which is counted by cell like the others
+        # a chunk's uniforms, draws, fractions, masks and cells take about
+        # 0.8 MB at the peak; TSPB(0.05) puts 27% of its draws in the last
+        # cell, which is counted by cell like the others
         for model in (PB(3, 1.27, 1437), TSPB(0.05)):
             tracemalloc.start()
             try:
@@ -314,6 +332,19 @@ class TestVerificationReport:
         # TSPP(1, c) at small c puts most draws within 1e-12 of W = 2, whose
         # 10^W = 99.99... has digit 9; read as 2 - s rounded, they read 1
         assert verification_report(TSPB(c), 1_000_000, seed=20240811).passed()
+
+    @pytest.mark.parametrize("model,n", [(PB(0.05, 3.0, 10 ** 18), 1_000_000),
+                                         (PB(2.0, 1.0, 1000), 3_010_000)], ids=str)
+    def test_a_pmf_missing_a_draw_is_refused(self, model, n):
+        missing = pb_truncation_deficit(model.alpha, model.beta, model.m)
+        assert n * missing >= 1
+        with pytest.raises(ValueError, match=rf"^the pmf lacks mass {missing:.3g}, "
+                                             rf"about {n * missing:.0f} of the {n} draws"):
+            verification_report(model, n, seed=1)
+
+    def test_a_pmf_missing_under_one_draw_is_checked(self):
+        # PB(2, 1, 1000) lacks 3.3e-7 of its mass: 0.33 of 10^6 draws
+        assert verification_report(PB(2.0, 1.0, 1000), 1_000_000, seed=1).passed()
 
     def test_small_n_still_well_formed(self):
         rep = verification_report(Benford(), 1_000, seed=1)
