@@ -6,7 +6,9 @@ Integers of any size stay exact: the few whose logarithm lands too close to
 a digit edge for log10's rounding error are settled by integer division.
 Positive reals keep a guard that reads a value within 1e-12 (in log10)
 below a digit bound as that bound's digit, so 0.3 reads 3, applied to
-`math.log10`'s own fraction wherever the guard could matter.
+`math.log10`'s own fraction wherever the guard could matter.  Its read and
+settle step, `_digits_from_log10`, takes any float logs with an error
+bound, so Fibonacci and Catalan numbers are read from their logs alone.
 
 A fraction's digit is looked up, not searched for: [0, 1) is cut into 1,024
 cells of width 2^-10, and since the digit bounds log10 d lie at least
@@ -95,12 +97,26 @@ def _first_digits(values: list) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError("expected positive integers or finite positive reals, got "
                          f"{next(v for v in values if not 0 < v < math.inf)}")
+    return _digits_from_log10(x, max(2e-12, 1e-13 + 1e-14 * x.max(initial=0.0)),
+                              values.__getitem__)
+
+
+def _digits_from_log10(x: np.ndarray, error, value) -> np.ndarray:
+    """First digits of values v_0, v_1, ... from finite x_i within `error`
+    (a float, or an array like x) of log10 v_i.
+
+    The digit is read off frac(x_i) by the cell table, except that a value
+    whose x_i lies within 2 error of a digit edge is settled one by one, as
+    `_settled_digit(value(i), x_i)`.  Every other x_i lies at least 2 error
+    from each edge as a float, so more than error from the edge itself
+    (log10 d rounds to float64 by under 1.2e-16, less than error), and log10 v_i
+    lies on the same side of it.
+    """
     frac = x - np.floor(x)  # x % 1.0 for finite x, at a tenth of the cost
     digits = _digits_from_log10_fractions(frac)
     edge_gap = np.minimum(frac - _DIGIT_EDGES[digits - 1], _DIGIT_EDGES[digits] - frac)
-    margin = 2 * max(2e-12, 1e-13 + 1e-14 * x.max(initial=0.0))
-    for i in np.flatnonzero(edge_gap < margin):
-        digits[i] = _settled_digit(values[i], x[i])
+    for i in np.flatnonzero(edge_gap < 2 * error):
+        digits[i] = _settled_digit(value(i), x[i])
     return digits
 
 

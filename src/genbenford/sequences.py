@@ -8,10 +8,16 @@ a precomputed table of pentagonal offsets.  Keith and idoneal numbers ship as
 bundled data files; the rest are generated from scratch.
 A user's data file is values (`read_values`), not a sequence kind.
 
-The digit histogram of squares, cubes, pentagonal numbers and square roots
-lists no term: these sequences increase, so their first digits are fixed by
-where they cross each digit edge d*10^k, and `digit_histogram_of` finds each
-crossing by bisection on n with one exact integer test per step.
+`digit_histogram_of` counts seven kinds without listing a term, each by
+its entry in the one registry `_COUNTED`.  Squares, cubes, pentagonal
+numbers and square roots increase, so their first digits are fixed by
+where they cross each digit edge d*10^k, found by bisection on n with one
+exact integer test per step (`_TERM_BELOW`).  The primes below a bound are
+counted between the digit edges in the odd sieve that `primes_below` lists
+from.  Fibonacci and Catalan numbers are read off float logs with a proven
+error bound, one numpy array for all terms, and the few terms whose logs
+lie too close to a digit edge are computed exactly.  Every other kind is
+listed and tallied.
 """
 from __future__ import annotations
 
@@ -24,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .digits import DigitHistogram, _first_digits, _is_integral, histogram
+from .digits import DigitHistogram, _digits_from_log10, _first_digits, _is_integral, histogram
 from .reference import data_dir
 
 SEQUENCE_KINDS = (
@@ -99,11 +105,9 @@ def square_roots(count: int) -> Iterator[float]:
     return map(math.sqrt, range(1, count + 1))
 
 
-def primes_below(bound: int) -> list[int]:
-    """All primes < bound, by a sieve of Eratosthenes over the odd numbers:
-    sieve[i] stands for 2i + 1, and 2 is prepended."""
-    if bound < 3:
-        return []
+def _odd_sieve(bound: int) -> bytearray:
+    """The sieve of Eratosthenes over the odd numbers below bound >= 2:
+    sieve[i] is 1 exactly when 2i + 1 is prime."""
     size = bound // 2
     sieve = bytearray(b"\x01") * size
     sieve[0] = 0  # 1 is not prime
@@ -112,7 +116,14 @@ def primes_below(bound: int) -> list[int]:
             p = 2 * i + 1
             start = p * p // 2
             sieve[start::p] = bytes(len(range(start, size, p)))
-    return [2, *compress(range(1, bound, 2), sieve)]
+    return sieve
+
+
+def primes_below(bound: int) -> list[int]:
+    """All primes < bound: 2, then the odd primes of `_odd_sieve`."""
+    if bound < 3:
+        return []
+    return [2, *compress(range(1, bound, 2), _odd_sieve(bound))]
 
 
 def fibonacci(count: int) -> Iterator[int]:
@@ -121,6 +132,17 @@ def fibonacci(count: int) -> Iterator[int]:
     for _ in range(count):
         yield a
         a, b = b, a + b
+
+
+def _fibonacci_at(n: int) -> int:
+    """F(n) alone, by fast doubling: from (F(k), F(k+1)), F(2k) =
+    F(k)(2F(k+1) - F(k)) and F(2k+1) = F(k)^2 + F(k+1)^2, one bit of n a step."""
+    a, b = 0, 1
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return a
 
 
 def catalan(count: int) -> Iterator[int]:
@@ -330,23 +352,128 @@ def _edge_counted_histogram(below, count: int) -> DigitHistogram:
     return DigitHistogram.from_counts([sum(between[d::9]) for d in range(9)])
 
 
+def _prime_histogram(bound: int) -> DigitHistogram:
+    """The digit histogram of the primes below `bound`, from the odd sieve
+    alone: digit d takes the odd primes in [d*10^k, min((d+1)*10^k, bound)),
+    sieve entries lo // 2 to hi // 2 for each k, and the prime 2 takes digit 2."""
+    sieve = _odd_sieve(max(bound, 2))
+    counts = [0] * 9
+    counts[1] = int(bound > 2)  # the prime 2
+    power = 1
+    while power < bound:
+        for d in range(1, 10):
+            counts[d - 1] += sieve.count(1, d * power // 2, min((d + 1) * power, bound) // 2)
+        power *= 10
+    return DigitHistogram.from_counts(counts)
+
+
+# Fibonacci and Catalan numbers taken from their generators, as exact ints,
+# before the float logs of the later terms take over; among the first ones
+# 1, 2 and 5 have logs exactly on a digit edge.
+_LISTED_HEAD = 64
+
+# log10((1 + sqrt 5) / 2) and log10(sqrt 5), each the nearest float to it
+_LOG10_PHI = 0.20898764024997873
+_LOG10_SQRT5 = 0.34948500216800943
+
+# |x_n - log10 F(n)| <= _FIBONACCI_ERROR n, and |x_n - log10 C(n)| <=
+# _CATALAN_ERROR n (1 + x_n), for the x_n and n > _LISTED_HEAD of
+# _fibonacci_histogram and _catalan_histogram, whose docstrings prove them
+_FIBONACCI_ERROR = 1e-16
+_CATALAN_ERROR = 5e-16
+
+
+def _log_counted_histogram(head, x, error, term) -> DigitHistogram:
+    """The digit histogram of the listed terms `head`, then of the terms
+    whose logs are x (within `error`); `term(i)` is the exact term at x[i]."""
+    return histogram(np.concatenate([_first_digits(list(head)),
+                                     _digits_from_log10(x, error, term)]))
+
+
+def _fibonacci_histogram(count: int) -> DigitHistogram:
+    """The digit histogram of F(1)..F(count): the first _LISTED_HEAD terms
+    listed, then x_n = n L - S for n > _LISTED_HEAD, with L and S the
+    nearest floats to log10 phi and log10 sqrt 5, phi = (1 + sqrt 5) / 2.
+    A term within 2 _FIBONACCI_ERROR n of a digit edge is computed by
+    `_fibonacci_at`.
+
+    The bound.  log10 F(n) = n log10 phi - log10 sqrt 5 + log10(1 -
+    (-phi^-2)^n), and the last term is under 1e-26 for n > 64.  With
+    u = 2^-53 and n exact as a float: |L - log10 phi| <= u/8 contributes
+    1.4e-17 n, the rounding of n L at most u 0.209 n = 2.4e-17 n, |S -
+    log10 sqrt 5| <= u/4 = 2.8e-17, and the rounding of the difference,
+    under n L, another 2.4e-17 n: in all under 6.2e-17 n + 2.8e-17 <=
+    1e-16 n.
+    """
+    n = np.arange(_LISTED_HEAD + 1, count + 1, dtype=float)
+    return _log_counted_histogram(
+        fibonacci(min(count, _LISTED_HEAD)), n * _LOG10_PHI - _LOG10_SQRT5,
+        _FIBONACCI_ERROR * n, lambda i: _fibonacci_at(_LISTED_HEAD + 1 + i))
+
+
+def _catalan_histogram(count: int) -> DigitHistogram:
+    """The digit histogram of C(0)..C(count - 1): the first _LISTED_HEAD
+    terms listed, then x_n = log10 C(n) for n >= _LISTED_HEAD as the
+    running sum of t_k = log10(2(2k+1)/(k+2)), k < n, the logs of
+    C(k+1)/C(k).  A term within 2 _CATALAN_ERROR n (1 + x_n) of a digit
+    edge is computed as binomial(2n, n) // (n + 1).
+
+    The bound, with u = 2^-53.  The quotient 2(2k+1)/(k+2) of two exact
+    floats rounds by at most u relative, moving its log by under
+    0.44 u = 4.9e-17, and np.log10 is taken to err by at most 4 ulps of
+    t_k < log10 4, under 4 u = 4.5e-16: each t_k is within 5e-16.  Each of
+    the n - 1 additions of the running sum rounds by at most u x_j <= u x_n,
+    as the partial sums x_j increase.  In all the error is under
+    n (5e-16 + 1.2e-16 x_n) <= 5e-16 n (1 + x_n).
+    """
+    k = np.arange(count - 1, dtype=float)
+    x = np.cumsum(np.log10(2 * (2 * k + 1) / (k + 2)))[_LISTED_HEAD - 1:]
+    n = np.arange(_LISTED_HEAD, count)
+    return _log_counted_histogram(
+        catalan(min(count, _LISTED_HEAD)), x, _CATALAN_ERROR * n * (1 + x),
+        lambda i: math.comb(2 * int(n[i]), int(n[i])) // int(n[i] + 1))
+
+
+# Kinds whose digit histogram is counted without listing a term:
+# kind -> (count -> DigitHistogram).  An edge-counted kind reads its term
+# test from _TERM_BELOW at call time.
+_COUNTED = {
+    **{kind: lambda count, kind=kind: _edge_counted_histogram(_TERM_BELOW[kind], count)
+       for kind in _TERM_BELOW},
+    "primes_below": _prime_histogram,
+    "fibonacci": _fibonacci_histogram,
+    "catalan": _catalan_histogram,
+}
+
+
+def _listed_histogram(spec: SequenceSpec) -> DigitHistogram:
+    """The digit histogram of the generated values, _HISTOGRAM_CHUNK at a time."""
+    values = iter(generate(spec))
+    chunks = iter(lambda: list(islice(values, _HISTOGRAM_CHUNK)), [])
+    digits = [_first_digits(chunk).astype(np.int8) for chunk in chunks]
+    return histogram(np.concatenate([np.empty(0, np.int8), *digits]))
+
+
 def digit_histogram_of(spec: SequenceSpec) -> DigitHistogram:
     """The digit histogram of the sequence `spec` describes.
 
-    Squares, cubes, pentagonal numbers and square roots increase, so they
-    are counted at the digit edges without listing a term: O(D log count)
-    tests for terms of at most D digits, each a comparison of Python ints,
-    exact at any count.  Every other kind is generated and its first digits
-    tallied `_HISTOGRAM_CHUNK` values at a time.
+    The kinds in `_COUNTED` list no term:
+
+    - squares, cubes, pentagonal numbers and square roots increase, so they
+      are counted at the digit edges: O(D log count) tests for terms of at
+      most D digits, each a comparison of Python ints, exact at any count;
+    - primes_below counts the odd sieve's entries between digit edges;
+    - fibonacci and catalan read the digits of all but their first
+      _LISTED_HEAD terms off float logs with a proven error bound, and
+      compute exactly the few terms whose logs lie too close to a digit edge.
+
+    Every other kind is generated and its first digits tallied
+    `_HISTOGRAM_CHUNK` values at a time.
 
     The square roots' digits are those of the real roots.  A tally of
     `first_digit_real(math.sqrt(n))` agrees up to 249,999,999,998 terms;
     from n = 249,999,999,999 on, its 1e-12 guard gives the roots just below
     an edge d*10^k the digit of the edge.
     """
-    if spec.kind in _TERM_BELOW:
-        return _edge_counted_histogram(_TERM_BELOW[spec.kind], spec.param)
-    values = iter(generate(spec))
-    chunks = iter(lambda: list(islice(values, _HISTOGRAM_CHUNK)), [])
-    digits = [_first_digits(chunk).astype(np.int8) for chunk in chunks]
-    return histogram(np.concatenate([np.empty(0, np.int8), *digits]))
+    counted = _COUNTED.get(spec.kind)
+    return counted(spec.param) if counted else _listed_histogram(spec)

@@ -3,40 +3,44 @@
     PYTHONPATH=src python tests/digits_corpus.py
 
 Tallies digit_histogram_of for the 13 kinds (squares, cubes, pentagonal
-and square_roots at 500,000 terms; primes below 2,000,000; fibonacci at
-20,000 and 30,000; catalan at 3,000 and 8,000; bell 600; partition 6,000;
-lucky 5,000; ulam 2,000; keith; idoneal) and compares each with counts
-made apart from the library's digit code: oracles.leading_digit, by
-integer comparison, for every int term (squares, cubes and pentagonal
-numbers by their formulas, the other kinds as the library generates them),
-and for square roots the exact rule that sqrt(n) starts with
-isqrt(n // 100^k) for 100^k <= n < 100^(k+1).
+and square_roots at 500,000 terms; primes below 10^6, 2,000,000 - 1,
+2,000,000 and 10^7; fibonacci at 20,000, 30,000 and 50,000; catalan at
+3,000, 8,000 and 12,000; bell 600; partition 6,000; lucky 5,000; ulam
+2,000; keith; idoneal) and compares each with counts made apart from the
+library's digit code: oracles.leading_digit, by integer comparison, for
+every int term (squares, cubes and pentagonal numbers by their formulas,
+Fibonacci numbers by oracles.fibonacci_list, the other kinds as the
+library generates them), and for square roots the exact rule that sqrt(n)
+starts with isqrt(n // 100^k) for 100^k <= n < 100^(k+1).  The primes
+are counted a second way too: oracles.prime_digit_counts, by bisection
+over oracles.sieve_primes.
 
-digit_histogram_of counts squares, cubes, pentagonal numbers and square
-roots at the digit edges, so at 500,000 terms the values path
-(_first_digits over the generated terms, _HISTOGRAM_CHUNK at a time) is
-checked against the same counts too.  At 10^12 terms, past any listing,
-those four kinds are checked against oracles.root_digit_counts, which
-counts by integer roots.
+digit_histogram_of lists no term of the kinds it counts (squares, cubes,
+pentagonal numbers and square roots at the digit edges, primes from the
+odd sieve, Fibonacci and Catalan numbers from float logs), so the listing
+path (_first_digits over the generated terms, _HISTOGRAM_CHUNK at a time)
+is checked against the same counts at those kinds' sizes too.  At 10^12
+terms, past any listing, the four edge-counted kinds are checked against
+oracles.root_digit_counts, which counts by integer roots.
 Prints one line per check and exits 1 on any mismatch.  pytest does not
-collect this file; the run takes a few seconds.
+collect this file; the run takes about 10 s.
 """
 import sys
 import time
-from itertools import islice
 
-import numpy as np
-from oracles import leading_digit, root_digit_counts, sqrt_leading_digit
+from oracles import (fibonacci_list, leading_digit, prime_digit_counts, root_digit_counts,
+                     sieve_primes, sqrt_leading_digit)
 
-from genbenford import SequenceSpec, digit_histogram_of, generate, histogram
-from genbenford.digits import _first_digits
-from genbenford.sequences import _HISTOGRAM_CHUNK
+from genbenford import SequenceSpec, digit_histogram_of, generate
+from genbenford.sequences import _COUNTED, _listed_histogram
 
+PRIME_BOUNDS = (10 ** 6, 2 * 10 ** 6 - 1, 2 * 10 ** 6, 10 ** 7)
 CORPUS = [("squares", 500_000), ("cubes", 500_000), ("pentagonal", 500_000),
-          ("square_roots", 500_000), ("primes_below", 2_000_000),
-          ("fibonacci", 20_000), ("fibonacci", 30_000), ("catalan", 3_000),
-          ("catalan", 8_000), ("bell", 600), ("partition", 6_000), ("lucky", 5_000),
-          ("ulam", 2_000), ("keith", 71), ("idoneal", 0)]
+          ("square_roots", 500_000), *(("primes_below", b) for b in PRIME_BOUNDS),
+          ("fibonacci", 20_000), ("fibonacci", 30_000), ("fibonacci", 50_000),
+          ("catalan", 3_000), ("catalan", 8_000), ("catalan", 12_000), ("bell", 600),
+          ("partition", 6_000), ("lucky", 5_000), ("ulam", 2_000), ("keith", 71),
+          ("idoneal", 0)]
 EDGE_COUNTED = ("squares", "cubes", "pentagonal", "square_roots")
 UNLISTED = 10 ** 12
 
@@ -57,16 +61,12 @@ def expected_counts(kind: str, param: int) -> list:
         return tally(map(sqrt_leading_digit, range(1, param + 1)))
     if kind in POLYNOMIALS:
         terms = list(map(POLYNOMIALS[kind], range(1, param + 1)))
+    elif kind == "fibonacci":
+        terms = fibonacci_list(param)
     else:  # the generators have their own oracle tests
         terms = list(generate(SequenceSpec(kind, param)))
     assert all(isinstance(t, int) and t >= 1 for t in terms), kind
     return tally(map(leading_digit, terms))
-
-
-def values_path_histogram(spec: SequenceSpec):
-    values = iter(generate(spec))
-    chunks = iter(lambda: list(islice(values, _HISTOGRAM_CHUNK)), [])
-    return histogram(np.concatenate([_first_digits(chunk) for chunk in chunks]))
 
 
 def checks():
@@ -75,8 +75,13 @@ def checks():
         spec = SequenceSpec(kind, param)
         want = expected_counts(kind, param)
         yield f"{kind}({param})", digit_histogram_of(spec).counts, want
-        if kind in EDGE_COUNTED:
-            yield f"{kind}({param}) values path", values_path_histogram(spec).counts, want
+        if kind in _COUNTED:
+            yield f"{kind}({param}) listing path", _listed_histogram(spec).counts, want
+    primes = sieve_primes(max(PRIME_BOUNDS))
+    for bound in PRIME_BOUNDS:
+        yield (f"primes_below({bound}) by bisection",
+               digit_histogram_of(SequenceSpec("primes_below", bound)).counts,
+               prime_digit_counts(bound, primes))
     for kind in EDGE_COUNTED:
         yield (f"{kind}({UNLISTED})", digit_histogram_of(SequenceSpec(kind, UNLISTED)).counts,
                root_digit_counts(kind, UNLISTED))

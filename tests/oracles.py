@@ -8,7 +8,9 @@ of the triangle, Ulam terms by scanning every candidate instead of keeping
 representation counts, Keith membership from the digit recurrence and Keith
 completeness from a vectorized exhaustive search, the digit counts of
 squares, cubes, pentagonal numbers and square roots from integer roots
-instead of a bisection at each digit edge,
+instead of a bisection at each digit edge, those of the primes by
+bisection over a sorted list from a full sieve instead of counts in an odd
+sieve,
 the digit of a log10 fraction by binary search over the digit bounds
 instead of a table of 1,024 cells,
 the 1-D fit check from a dense parameter grid instead of a golden section
@@ -19,6 +21,7 @@ instead of Euler-Maclaurin summation in float64.
 """
 import functools
 import math
+from bisect import bisect_left
 
 import mpmath
 import numpy as np
@@ -127,6 +130,19 @@ def sieve_primes(bound):
         if flags[p]:
             flags[p * p::p] = b"\x00" * len(range(p * p, bound, p))
     return [i for i in range(bound) if flags[i]]
+
+
+def prime_digit_counts(bound, primes):
+    """First-digit counts of the primes below bound, by bisection over
+    `primes`, the sorted primes below some bound at least as large."""
+    counts = [0] * 9
+    power = 1
+    while power < bound:
+        for d in range(1, 10):
+            lo, hi = d * power, min((d + 1) * power, bound)
+            counts[d - 1] += max(0, bisect_left(primes, hi) - bisect_left(primes, lo))
+        power *= 10
+    return counts
 
 
 def ulam_by_definition(count):

@@ -220,6 +220,7 @@ class TestFirstDigitReal:
     def test_hair_below_power_of_ten_rounds_up(self):
         # the guard folds values within 1e-12 (log scale) of 10^k onto digit 1
         assert first_digit_real(math.nextafter(1000.0, 0.0)) == 1
+        assert first_digit_real(999.9999999999) == 1  # 4.3e-14 below 3 in log10
 
     @pytest.mark.parametrize("x,digit", [(0.007, 7), (0.5, 5), (3.14159, 3),
                                          (9.99, 9), (2e300, 2), (7e-200, 7)])

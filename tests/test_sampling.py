@@ -308,7 +308,10 @@ class TestChunkedDraws:
     def test_a_million_draws_stay_small(self):
         # a chunk's uniforms, draws, fractions, masks and cells take about
         # 0.8 MB at the peak; TSPB(0.05) puts 27% of its draws in the last
-        # cell, which is counted by cell like the others
+        # cell, which is counted by cell like the others.  One draw first
+        # imports what numpy's default_rng imports lazily (about 0.7 MB in a
+        # fresh process), which is not the tally's
+        empirical_digit_pmf(PB(3, 1.27, 1437), 1, 1)
         for model in (PB(3, 1.27, 1437), TSPB(0.05)):
             tracemalloc.start()
             try:

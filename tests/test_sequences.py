@@ -2,10 +2,13 @@ import math
 import tracemalloc
 from collections.abc import Iterator
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import genbenford.digits
 import genbenford.sequences as seq
 from genbenford import (
     SEQUENCE_KINDS,
@@ -43,6 +46,7 @@ from oracles import (
     keith_numbers_below,
     leading_digit,
     partitions_dp,
+    prime_digit_counts,
     root_digit_counts,
     sieve_primes,
     sqrt_leading_digit,
@@ -281,22 +285,23 @@ class TestDigitHistogramOf:
                              first_digit_int(v) for v in generate(spec))
         assert digit_histogram_of(spec).counts == expected.counts
 
-    # the kinds counted at the digit edges never read _HISTOGRAM_CHUNK
-    @pytest.mark.parametrize("kind,param", [(kind, param) for kind, param in EVERY_KIND
-                                            if kind not in seq._TERM_BELOW])
+    # the listing path at any chunk size, against digit_histogram_of (which
+    # lists no term of the counted kinds)
+    @pytest.mark.parametrize("kind,param", EVERY_KIND)
     def test_chunking_does_not_change_the_histogram(self, kind, param, monkeypatch):
         spec = SequenceSpec(kind, param)
         whole = digit_histogram_of(spec).counts
         for chunk in (1, 7):
             monkeypatch.setattr(seq, "_HISTOGRAM_CHUNK", chunk)
-            assert digit_histogram_of(spec).counts == whole
+            assert seq._listed_histogram(spec).counts == whole
 
     def test_a_chunk_of_huge_ints_stays_small(self):
-        # fibonacci(30000) ends in terms of 6,270 digits, and a chunk holds
-        # them whole: about 5.5 MB traced at 1024 values a chunk, 19 MB at 4096
+        # fibonacci(30000) ends in terms of 6,270 digits, and a chunk of the
+        # listing path holds them whole: about 5.5 MB traced at 1024 values a
+        # chunk, 19 MB at 4096 (digit_histogram_of lists no Fibonacci term)
         tracemalloc.start()
         try:
-            digit_histogram_of(SequenceSpec("fibonacci", 30000))
+            seq._listed_histogram(SequenceSpec("fibonacci", 30000))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -402,6 +407,128 @@ class TestEdgeCountedKinds:
         assert self.added_digit(n) == sqrt_leading_digit(n) == 4
         assert first_digit_real(math.sqrt(n)) == 5
         assert self.added_digit(n - 1) == first_digit_real(math.sqrt(n - 1)) == 4
+
+
+LOG_COUNTED = ("fibonacci", "catalan")
+
+
+@pytest.fixture
+def settled(monkeypatch):
+    """The values sent to `_settled_digit`, in order."""
+    values = []
+    settle = genbenford.digits._settled_digit
+
+    def counted(v, x):
+        values.append(v)
+        return settle(v, x)
+
+    monkeypatch.setattr(genbenford.digits, "_settled_digit", counted)
+    return values
+
+
+def listing_path_counts(kind, count):
+    return histogram(_first_digits(list(generate(SequenceSpec(kind, count))))).counts
+
+
+class TestCountedKinds:
+    """primes_below is counted from the odd sieve, and fibonacci and catalan
+    from float logs with the near-edge terms computed exactly, listing no
+    term: each gives the histogram of the listing path."""
+
+    def test_the_counted_kinds(self):
+        assert set(seq._COUNTED) == {*EDGE_COUNTED, "primes_below", *LOG_COUNTED}
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.sampled_from(LOG_COUNTED + ("primes_below",)), st.integers(1, 6000))
+    @example("fibonacci", seq._LISTED_HEAD)
+    @example("fibonacci", seq._LISTED_HEAD + 1)
+    @example("catalan", seq._LISTED_HEAD)
+    @example("catalan", seq._LISTED_HEAD + 1)
+    @example("primes_below", 1)
+    @example("primes_below", 2)
+    @example("primes_below", 3)
+    def test_matches_the_listing_path(self, kind, count):
+        if kind == "primes_below":
+            count *= 50  # bounds up to 300,000
+        assert digit_histogram_of(SequenceSpec(kind, count)).counts == \
+            listing_path_counts(kind, count)
+
+    @pytest.mark.parametrize("kind", LOG_COUNTED)
+    def test_every_count_up_to_a_thousand(self, kind):
+        # every count whose last term is the first past a digit edge d*10^k,
+        # and every count either side of it, against prefix tallies
+        digits = _first_digits(list(generate(SequenceSpec(kind, 1000))))
+        counts = np.zeros(9, dtype=np.int64)
+        for count, digit in enumerate(digits, start=1):
+            counts[digit - 1] += 1
+            assert digit_histogram_of(SequenceSpec(kind, count)).counts == tuple(counts)
+
+    def test_primes_on_each_side_of_every_edge(self):
+        # bounds d*10^k - 1, d*10^k and d*10^k + 1 up to 10^6 + 1, against
+        # counts by bisection over an independent sieve
+        primes = sieve_primes(10 ** 6 + 2)
+        edges = [d * 10 ** k for k in range(6) for d in range(1, 10)] + [10 ** 6]
+        for bound in sorted({edge + step for edge in edges for step in (-1, 0, 1)} - {0}):
+            got = digit_histogram_of(SequenceSpec("primes_below", bound)).counts
+            assert list(got) == prime_digit_counts(bound, primes), bound
+
+    @pytest.mark.parametrize("kind,count", [("fibonacci", 400), ("catalan", 300)])
+    def test_settling_every_term_gives_the_same_histogram(self, kind, count, monkeypatch,
+                                                          settled):
+        # an error bound of 1 puts every logged term within 2 of an edge
+        monkeypatch.setattr(seq, "_FIBONACCI_ERROR", 1.0)
+        monkeypatch.setattr(seq, "_CATALAN_ERROR", 1.0)
+        got = digit_histogram_of(SequenceSpec(kind, count)).counts
+        terms = list(generate(SequenceSpec(kind, count)))
+        assert settled[-(count - seq._LISTED_HEAD):] == terms[seq._LISTED_HEAD:]
+        assert got == listing_path_counts(kind, count)
+
+    @pytest.mark.parametrize("kind,count", [("fibonacci", 30000), ("catalan", 8000)])
+    def test_only_small_terms_are_settled(self, kind, count, settled):
+        # a deterministic work counter: at the benchmark's largest sizes the
+        # settled terms are those of the listed head that sit on an edge or
+        # near one (1, 2 and 5 on it), never a large term
+        digit_histogram_of(SequenceSpec(kind, count))
+        assert 1 <= len(settled) <= 10
+        assert max(settled) < 10 ** 20
+
+    @pytest.mark.parametrize("kind,count", [("fibonacci", 20000), ("catalan", 8000)])
+    def test_the_logs_lie_within_their_error_bounds(self, kind, count, monkeypatch):
+        # the x_n and bounds each histogram passes on, against 40-digit logs:
+        # n log10 phi - log10 sqrt 5 (F(n) differs from phi^n / sqrt 5 by
+        # under 1e-26 in log10 past the head), and the running sum of the
+        # exact log10 C(k+1)/C(k)
+        passed = []
+
+        def digits_from_log10(x, error, term):
+            passed.append((x, error))
+            return np.ones(len(x), dtype=np.intp)
+
+        monkeypatch.setattr(seq, "_digits_from_log10", digits_from_log10)
+        digit_histogram_of(SequenceSpec(kind, count))
+        [(x, error)] = passed
+        with mpmath.workdps(40):
+            if kind == "fibonacci":
+                log_phi = mpmath.log10((1 + mpmath.sqrt(5)) / 2)
+                log_sqrt5 = mpmath.log10(mpmath.sqrt(5))
+                # the proof takes the constants to be the nearest floats
+                assert (seq._LOG10_PHI, seq._LOG10_SQRT5) == (float(log_phi), float(log_sqrt5))
+                exact = [n * log_phi - log_sqrt5 for n in range(seq._LISTED_HEAD + 1, count + 1)]
+            else:
+                running, exact = mpmath.mpf(0), []
+                for k in range(count - 1):
+                    running += mpmath.log10(mpmath.mpf(2 * (2 * k + 1)) / (k + 2))
+                    if k + 1 >= seq._LISTED_HEAD:
+                        exact.append(running)
+            assert len(exact) == len(x)
+            excess = max(abs(mpmath.mpf(float(xn)) - e) / float(bound)
+                         for xn, e, bound in zip(x, exact, error))
+        assert excess <= 1
+
+    def test_fast_doubling_matches_the_generator(self):
+        terms = fibonacci_list(3000)
+        assert [seq._fibonacci_at(n) for n in range(1, 3001)] == terms
+        assert seq._fibonacci_at(0) == 0
 
 
 class TestSpecAndCustomFiles:
