@@ -64,12 +64,13 @@ _L10 = np.log10(np.arange(1, 11, dtype=float))
 # integral (-1)
 _HEAD = 12
 _TAIL_OFFSETS = (0.0, 1.0, 3.0, 5.0, 7.0, 9.0, -1.0)
-_TAIL_ALPHA_CAP = 1e30
+_SERIES_ALPHA_CAP = 1e30
 # B_2j / (2j)! of the Euler-Maclaurin corrections on the odd derivatives
 _BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160)
 # the row weights are a fixed linear map of these powers of u = alpha - 1
 _POWERS = np.array([*range(10), -1], dtype=float)
 _EPS = sys.float_info.epsilon
+_HALF_MAX = sys.float_info.max / 2
 
 # PB's m must keep m + 1 within the float64 range
 _M_LIMIT = int(sys.float_info.max)
@@ -194,7 +195,8 @@ def _series_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     row's t, the (2, rows, 9) table of -log(t + x_d) and
     log(t + x_d) - log(t + x_{d+1}), the (rows, 1) exponent offsets, and
     the (11, rows) matrix that takes the powers _POWERS of u = alpha - 1 to
-    the row weights."""
+    the row weights: -1 on the head rows; at t = 13 and at t = m, -1/2 on the
+    end terms, -/+ B_2j/(2j)! (alpha)_(2j-1) on f^(2j-1), -/+ 1/(alpha - 1) on the integral."""
     head = min(m, _HEAD)
     ts = list(range(1, head + 1))
     offsets = [0.0] * head
@@ -214,19 +216,6 @@ def _series_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # log1p(x/t) keeps x_d at any t, where t + x_d would round to t
     lo, hi = np.log1p(_L10[:9] / t), np.log1p(_L10[1:] / t)
     return np.stack([-(np.log(t) + lo), lo - hi]), np.array(offsets)[:, None], weights
-
-
-def _tail_weights(alpha, m: int) -> np.ndarray:
-    """The weights of the series rows, on a last axis after alpha's shape:
-    -1 on the head rows; on the tail rows at t = 13 and at t = m, -1/2 on
-    the end terms and -B_2j / (2j)! * (alpha)_(2j-1) (t = 13) or
-    +B_2j / (2j)! * (alpha)_(2j-1) (t = m) on the odd derivatives, and
-    -1/(alpha - 1) or +1/(alpha - 1) on the integral."""
-    # every tail row is exactly 0 long before the cap (13^-300 underflows);
-    # capping alpha here (min for floats and arrays alike) only keeps
-    # 0 * weight from becoming nan
-    a = alpha * (alpha <= _TAIL_ALPHA_CAP) + _TAIL_ALPHA_CAP * (alpha > _TAIL_ALPHA_CAP)
-    return np.power.outer(a - 1, _POWERS) @ _series_table(m)[2]
 
 
 def _series_differences(alpha, m: int) -> np.ndarray:
@@ -257,6 +246,8 @@ def _series_differences(alpha, m: int) -> np.ndarray:
     seen over that range is 1.1e-13).
     """
     table, offsets, weights = _series_table(m)
+    # past the cap every power but 1^-alpha is 0: it moves no bit, and keeps products finite
+    alpha = np.minimum(alpha, _SERIES_ALPHA_CAP)
     alpha = alpha + (alpha == 1) * _EPS
     z = (np.asarray(alpha)[..., None, None, None] + offsets) * table
     rows, d = z[..., 0, :, :], z[..., 1, :, :]  # in place, to keep a batch small
@@ -264,15 +255,18 @@ def _series_differences(alpha, m: int) -> np.ndarray:
     rows *= np.expm1(d, out=d)  # (t + x_{d+1})^-e - (t + x_d)^-e
     if m <= _HEAD:
         return weights[0] @ rows
-    return (_tail_weights(alpha, m)[..., None, :] @ rows)[..., 0, :]
+    return ((np.power.outer(alpha - 1, _POWERS) @ weights)[..., None, :] @ rows)[..., 0, :]
 
 
 def _pb_probs(a, b, m: int) -> np.ndarray:
     """Unvalidated PB pmf, shared by PB.pmf and the fitter's objective:
     a and b are floats, or arrays of shape (K,) for a (K, 9) result."""
     a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
-    p = _L10 ** b
-    return (a * (p[..., 1:] - p[..., :9]) + b * _series_differences(a[..., 0], m)) / (a + b)
+    p, s = _L10 ** b, _series_differences(a[..., 0], m)
+    if np.maximum(a, b).max() > _HALF_MAX:  # halve both weights where a + b overflows
+        over = a / 2 + b / 2 > _HALF_MAX  # exactly there; the scaling is exact
+        a, b = np.where(over, a / 2, a), np.where(over, b / 2, b)
+    return (a * (p[..., 1:] - p[..., :9]) + b * s) / (a + b)
 
 
 def pb_vector(alpha: float, beta: float, m: int = 1000) -> np.ndarray:

@@ -9,12 +9,12 @@ Both fitters are deterministic and score points through one batched
 chi-square objective.  The 1-D TSPB search is one golden section run
 on all 40 cells of a 0.25-step c-grid at once, one point per cell in
 each call.  The 2-D PB search is a multistart in (log alpha, log beta)
-space: 17 fixed starts run a coarse Nelder-Mead pass of 100 evaluations
-each, all simplices in lockstep, one call of the objective per step, and
-the best coarse endpoint is polished by projected Newton steps (Bertsekas
-1982), two calls per iteration.  Each simplex takes SciPy's Nelder-Mead
-steps but checks its evaluation budget only between iterations, so it may
-pass the budget by up to n + 1 points.
+space: 17 starts, the best 8 kept after 40 calls, each a 2-D Nelder-Mead
+with SciPy's steps.  The simplices run a coarse pass of 100 evaluations in
+lockstep, one objective call per step, each checking its budget only
+between iterations (so it may pass it by up to 3 points).  The best coarse
+endpoint is polished by projected Newton steps (Bertsekas 1982), two
+calls per iteration.
 tests/fit_pb_corpus.py and its dense-grid oracle judge the result: on 657
 fixed-seed histograms no fit is worse than a dense-grid search by more
 than 1e-9.  alpha is capped at exactly 1e9 (the chi-square surface goes
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -71,6 +72,8 @@ _NM_STARTS.append((math.log(1e6), 0.0))
 # then the best coarse endpoint is polished to full precision; with a
 # coarse maxfev of 60 or 40, fits of tests/fit_pb_corpus.py miss the minimum
 _COARSE = dict(xatol=1e-3, fatol=1e-6, maxfev=100)
+# the best 8 unfinished coarse runs go on after 40 calls (Rinnooy Kan & Timmer 1987)
+_PRUNE = (40, 8)
 # the polish's central-difference stencil, line-search step scales, step
 # tolerance and iteration cap
 _H = 1e-4
@@ -79,10 +82,9 @@ _STEP_SCALES = 0.5 ** np.arange(12)
 _STEP_TOL = 1e-8
 _NEWTON_MAXITER = 50
 
-# Nelder-Mead coefficients (reflection, expansion, contraction, shrink) and
-# initial simplex steps (relative on nonzero coordinates, absolute on zero
-# ones), as in SciPy
-_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+# Nelder-Mead's initial simplex steps (relative on nonzero coordinates,
+# absolute on zero ones), as in SciPy; its coefficients (reflection 1,
+# expansion 2, contraction and shrink 0.5) are written out in _simplex_run
 _NONZDELT, _ZDELT = 0.05, 0.00025
 
 
@@ -204,77 +206,80 @@ def _pb_objective(hist: DigitHistogram, m: int):
     return _objective(hist, lambda lp: _pb_probs(*_pb_params(lp), m))
 
 
-def _along(xbar, worst, t):
-    """xbar + t (xbar - worst), as SciPy computes it: (1 + t) xbar - t worst."""
-    return [(1 + t) * c - t * w for c, w in zip(xbar, worst)]
-
-
 def _simplex_run(x0, xatol: float, fatol: float, maxfev: int):
-    """One Nelder-Mead run as a generator that yields the points it needs
-    evaluated next, is sent their values, and returns (x, fun, nfev,
-    success).  SciPy's steps: its initial simplex, coefficients, stable
-    vertex order, reflect/expand/contract/shrink and float64 operations,
-    and its stopping test, the budget before the tolerances.  The budget
-    is checked only before an iteration and no point of an iteration is
-    refused, so a run may end up to n + 1 points past maxfev."""
-    n = len(x0)
-    sim = [[float(c) for c in x0]]
-    for k in range(n):
-        y = list(sim[0])
-        y[k] = (1 + _NONZDELT) * y[k] if y[k] != 0 else _ZDELT
-        sim.append(y)
-    fsim = yield sim
-    nfev = n + 1
+    """One 2-D Nelder-Mead run as a generator that yields the points it
+    needs evaluated next, is sent their values, and returns (x, fun, nfev,
+    success).  SciPy's steps in its float operations, its stable vertex
+    order and stopping test, the budget before the tolerances; the budget is
+    checked only before an iteration, so a run may end 3 points past it."""
+    x, y = float(x0[0]), float(x0[1])
+    points = [(x, y), ((1 + _NONZDELT) * x if x != 0 else _ZDELT, y),
+              (x, (1 + _NONZDELT) * y if y != 0 else _ZDELT)]
+    sim = list(zip((yield points), points))  # (value, vertex) pairs
+    nfev = 3
     while True:
-        # a stable sort, as numpy's argsort of a few values
-        order = sorted(range(n + 1), key=fsim.__getitem__)
-        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
-        if nfev >= maxfev or (
-                all(abs(c - b) <= xatol for vertex in sim[1:] for c, b in zip(vertex, sim[0]))
-                and all(abs(fsim[0] - f) <= fatol for f in fsim[1:])):
-            return sim[0], fsim[0], nfev, nfev < maxfev
-        xbar = [sum(c[1:], c[0]) / n for c in zip(*sim[:-1])]
-        xr = _along(xbar, sim[-1], _RHO)
+        sim.sort(key=itemgetter(0))  # stable, as numpy's argsort of a few values
+        (fb, (bx, by)), (fm, (mx, my)), (fw, (wx, wy)) = sim
+        if nfev >= maxfev or (abs(mx - bx) <= xatol and abs(my - by) <= xatol
+                              and abs(wx - bx) <= xatol and abs(wy - by) <= xatol
+                              and abs(fb - fm) <= fatol and abs(fb - fw) <= fatol):
+            return (bx, by), fb, nfev, nfev < maxfev
+        cx, cy = (bx + mx) / 2, (by + my) / 2
+        xr = (2 * cx - wx, 2 * cy - wy)  # reflect
         (fxr,) = yield [xr]
         nfev += 1
-        if fxr < fsim[0]:
-            xe = _along(xbar, sim[-1], _RHO * _CHI)
+        if fxr < fb:
+            xe = (3 * cx - 2 * wx, 3 * cy - 2 * wy)  # expand
             (fxe,) = yield [xe]
             nfev += 1
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
+            sim[2] = (fxe, xe) if fxe < fxr else (fxr, xr)
+        elif fxr < fm:
+            sim[2] = (fxr, xr)
         else:  # contract, outside the simplex or inside it
-            outside = fxr < fsim[-1]
-            xc = _along(xbar, sim[-1], _PSI * _RHO if outside else -_PSI)
+            outside = fxr < fw
+            xc = ((1.5 * cx - 0.5 * wx, 1.5 * cy - 0.5 * wy) if outside
+                  else (0.5 * cx + 0.5 * wx, 0.5 * cy + 0.5 * wy))
             (fxc,) = yield [xc]
             nfev += 1
-            if fxc <= fxr if outside else fxc < fsim[-1]:
-                sim[-1], fsim[-1] = xc, fxc
+            if fxc <= fxr if outside else fxc < fw:
+                sim[2] = (fxc, xc)
             else:  # shrink toward the best vertex
-                sim[1:] = [[b + _SIGMA * (c - b) for b, c in zip(sim[0], vertex)]
-                           for vertex in sim[1:]]
-                fsim[1:] = yield sim[1:]
-                nfev += n
+                points = [(bx + 0.5 * (mx - bx), by + 0.5 * (my - by)),
+                          (bx + 0.5 * (wx - bx), by + 0.5 * (wy - by))]
+                sim[1:] = zip((yield points), points)
+                nfev += 2
 
 
-def _nelder_mead(f, x0: np.ndarray, **options) -> tuple[np.ndarray, ...]:
-    """_simplex_run from each row of x0 (S, N), all in lockstep: each step
-    calls f, (K, N) -> (K,), once on the points every unfinished run waits
-    for.  Returns (x, fun, nfev, success), one row per start."""
+def _nelder_mead(f, x0: np.ndarray, prune=None, **options) -> tuple[np.ndarray, ...]:
+    """_simplex_run from each row of x0 (S, 2), all in lockstep: each step
+    calls f, (K, 2) -> (K,), once on the points every unfinished run waits
+    for.  With prune = (k, r), only the r unfinished runs with the lowest
+    value scored by call k go on (ties to the earlier start); the others stop
+    with their best point and value, the points they scored, success False."""
+    k, keep = prune or (0, len(x0))
+    scored = [[] for _ in x0]  # each run's (value, point) pairs through call k
+    results = [None] * len(x0)
     runs = [_simplex_run(x, **options) for x in x0]
-    asks = {i: run.send(None) for i, run in enumerate(runs)}
-    results = {}
-    while asks:
-        values = f(np.array([p for points in asks.values() for p in points])).tolist()
-        for i, points in list(asks.items()):
+    live, call = [(i, run, run.send(None)) for i, run in enumerate(runs)], 0
+    while live:
+        values = f(np.array([p for _, _, points in live for p in points])).tolist()
+        asks, j, call = [], 0, call + 1
+        for i, run, points in live:
+            sent, j = values[j:j + len(points)], j + len(points)
+            if call <= k:
+                scored[i] += zip(sent, points)
             try:
-                asks[i] = runs[i].send(values[:len(points)])
+                asks.append((i, run, run.send(sent)))
             except StopIteration as done:
                 results[i] = done.value
-                del asks[i]
-            del values[:len(points)]
-    return tuple(np.array(v) for v in zip(*(results[i] for i in range(len(runs)))))
+        if call == k:  # a stable sort: ties stay in start order
+            asks.sort(key=lambda ask: min(scored[ask[0]])[0])
+            for i, _, _ in asks[keep:]:
+                fun, x = min(scored[i], key=itemgetter(0))
+                results[i] = x, fun, len(scored[i]), False
+            del asks[keep:]
+        live = asks
+    return tuple(np.array(v) for v in zip(*results))
 
 
 def _newton_polish(f, x: np.ndarray) -> tuple:
@@ -315,17 +320,18 @@ def _newton_polish(f, x: np.ndarray) -> tuple:
 def fit_pb(hist: DigitHistogram, m: int = 1000) -> FitResult:
     """Minimize the chi-square over PB's (alpha, beta) at truncation m.
 
-    Two stages in (log alpha, log beta) space: each of 17 fixed starts (a
-    4x4 grid plus a near-Benford corner) runs a coarse Nelder-Mead pass of
-    100 evaluations, its simplices in lockstep; the best coarse endpoint
-    (ties to the earliest start) is polished by _newton_polish.
+    Two stages in (log alpha, log beta) space: 17 starts (a 4x4 grid plus
+    a near-Benford corner), the best 8 kept after 40 calls, each a 2-D
+    Nelder-Mead with SciPy's steps, run a coarse pass of 100 evaluations in
+    lockstep; the best coarse endpoint (ties to the earliest start) is
+    polished by _newton_polish.
     `converged` says the polish stopped on its step tolerance or found no
     lower point, not at its iteration cap; `evaluations` counts the points
     of both stages.
     """
     m = PB(1.0, 1.0, m).m  # the law's own check of m
     objective = _pb_objective(hist, m)
-    x, fun, nfev, _ = _nelder_mead(objective, np.array(_NM_STARTS), **_COARSE)
+    x, fun, nfev, _ = _nelder_mead(objective, np.array(_NM_STARTS), _PRUNE, **_COARSE)
     px, pfun, pnfev, converged = _newton_polish(objective, x[int(np.argmin(fun))])
     (alpha,), (beta,) = _pb_params(px[None])
     return FitResult._of(PB(alpha=float(alpha), beta=float(beta), m=m), float(pfun),

@@ -72,6 +72,14 @@ class TestPmf:
         assert name == "deficit"
         assert float(value) == pytest.approx((1.0 / 3.0) * 1001.0 ** -2, rel=1e-12)
 
+    def test_pb_past_float_max(self, capsys):
+        # alpha + beta overflows: the weights are halved, not lost to 0
+        code, out, _ = run(capsys, "pmf", "--model", "pb", "--alpha", "1e308",
+                           "--beta", "1e308", "--m", "100")
+        assert code == 0
+        assert out == ("digit,probability\n1,0.5\n" + "".join(f"{d},0.0\n" for d in range(2, 9))
+                       + "9,0.5\ndeficit,0.0\n")
+
     def test_pb_json_includes_deficit(self, capsys):
         code, out, _ = run(capsys, "pmf", "--model", "pb", "--alpha", "2",
                            "--beta", "1", "--m", "50", "--format", "json")
@@ -543,7 +551,7 @@ class TestExactFormat:
         (("--model", "pb", "--m", "100"),
          "source: counts\nmodel: pb\nalpha: 4.78641\nbeta: 1.83119\nm: 100\n"
          "chi_square: 1.81929\ndf: 6\np_value: 93.55%\nconverged: True\n"
-         "evaluations: 1586\n"),
+         "evaluations: 1116\n"),
     ])
     def test_fit_markdown(self, capsys, argv, expected):
         code, out, err = run(capsys, "fit", "--counts", MIXING_COUNTS, *argv)

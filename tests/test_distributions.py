@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -147,6 +148,33 @@ class TestPb:
             for beta in (0.5, 1.0, 3.0):
                 v = pb_vector(alpha, beta, 500)
                 assert np.all(v >= 0.0) and np.all(v <= 1.0)
+
+    @pytest.mark.parametrize("alpha,beta,expected", [
+        (1e308, 1e308, 0.5),
+        (sys.float_info.max, sys.float_info.max, 0.5),
+        (1e308, 8e307, 8 / 18),
+    ])
+    def test_weights_past_float_max(self, alpha, beta, expected):
+        # alpha + beta overflows; at such exponents the series is 1 on digit 1
+        # and the power term 1 on digit 9, so the cells are the two weights
+        assert math.isinf(alpha + beta)
+        v = PB(alpha, beta, 100).pmf()
+        assert v[0] == pytest.approx(expected, rel=1e-15)
+        assert v[8] == pytest.approx(1 - expected, rel=1e-15)
+        assert np.all(v[1:8] == 0.0)
+        assert pb_truncation_deficit(alpha, beta, 100) == 0.0
+
+    @pytest.mark.parametrize("alpha,beta", [(1e308, 1.0), (1e308, 1e308), (1.0, 1e308),
+                                            (sys.float_info.max, 1e-300)])
+    @pytest.mark.parametrize("m", [5, 100, 10 ** 300], ids=["5", "100", "10**300"])
+    def test_no_warning_at_huge_parameters(self, alpha, beta, m):
+        # the series' products of alpha and the log table once overflowed,
+        # and so did alpha + beta
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = PB(alpha, beta, m).pmf()
+            deficit = pb_truncation_deficit(alpha, beta, m)
+        assert np.all(v >= 0) and abs(math.fsum(v) - (1 - deficit)) < 1e-15
 
     @pytest.mark.parametrize("kwargs", [
         dict(alpha=0.0, beta=1.0, m=10),
