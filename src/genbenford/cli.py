@@ -15,6 +15,7 @@ error (a missing or invalid flag value).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, fields, replace
@@ -30,7 +31,7 @@ from .distributions import (
     pmf_vector,
 )
 from .fitting import FitResult, chi_square_stat, fit_pb, fit_tspb
-from .reference import load_survey
+from .reference import SurveyRow, load_survey
 from .sequences import SequenceSpec, digit_histogram_of, format_values, generate, read_values
 from .sampling import verification_report
 
@@ -218,29 +219,31 @@ def cmd_tables(args) -> int:
             raise UsageError(f"unknown survey keys: {', '.join(named)}")
         rows = [r for r in rows if r.key in wanted]
     args.m = _m_flag(args.m)  # a bad --m is a usage error, not a failure per row
+    hist = functools.cache(SurveyRow.histogram)  # each row's, built once for both tables
     failed = False
     if args.table in ("digits", "both"):
         header = ["sequence", "n", "source"] + [f"pct{d}" for d in range(1, 10)]
-        failed |= _survey_table(rows, header, _digit_cells, args)
+        failed |= _survey_table(rows, header, lambda row: _digit_cells(hist(row)), args)
     if args.table in ("fits", "both"):
         if args.table == "both":
             print()
         header = ["sequence", "n", "source"] + [
             f"{tag}_{name}" for tag, law in _LAWS.items()
             for name in [f.name for f in fields(law)] + ["chi2", "p"]]
-        failed |= _survey_table(rows, header, _fit_cells, args)
+        failed |= _survey_table(rows, header,
+                                lambda row: _fit_cells(hist(row), row.series_m, args.m), args)
     return 1 if failed else 0
 
 
 def _survey_table(rows, header, cells, args) -> bool:
     """Print one line per survey row: its label, n and source, then
-    cells(row, args), or the error that raised.  Returns whether any row
+    cells(row), or the error that raised.  Returns whether any row
     failed."""
     out_rows = []
     failed = False
     for row in rows:
         try:
-            tail = cells(row, args)
+            tail = cells(row)
         except Exception as e:
             failed = True
             tail = [f"error: {e}"] + [""] * (len(header) - 4)
@@ -260,16 +263,15 @@ def _rounded(name, cell):
             f"{cell:.3f}" if name.endswith("_chi2") else f"{cell:.5f}")
 
 
-def _digit_cells(row, args) -> list:
-    return [f"{p:.1f}" for p in row.histogram().percentages()]
+def _digit_cells(hist) -> list:
+    return [f"{p:.1f}" for p in hist.percentages()]
 
 
-def _fit_cells(row, args) -> list:
+def _fit_cells(hist, series_m, m) -> list:
     """Each law's parameters, chi-square and p-value."""
-    hist = row.histogram()
     cells = []
     for tag in _LAWS:
-        r = _fit(hist, tag, args.m, row.series_m)
+        r = _fit(hist, tag, m, series_m)
         cells += [*asdict(r.model).values(), r.chi_square, r.p_value]
     return cells
 

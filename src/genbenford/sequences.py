@@ -8,16 +8,17 @@ a precomputed table of pentagonal offsets.  Keith and idoneal numbers ship as
 bundled data files; the rest are generated from scratch.
 A user's data file is values (`read_values`), not a sequence kind.
 
-`digit_histogram_of` counts seven kinds without listing a term, each by
-its entry in the one registry `_COUNTED`.  Squares, cubes, pentagonal
-numbers and square roots increase, so their first digits are fixed by
-where they cross each digit edge d*10^k, found by bisection on n with one
-exact integer test per step (`_TERM_BELOW`).  The primes below a bound are
-counted between the digit edges in the odd sieve that `primes_below` lists
-from.  Fibonacci and Catalan numbers are read off float logs with a proven
-error bound, one numpy array for all terms, and the few terms whose logs
-lie too close to a digit edge are computed exactly.  Every other kind is
-listed and tallied.
+`digit_histogram_of` counts nine kinds, each by its entry in the one
+registry `_COUNTED`, listing no term or only a short head.  Squares,
+cubes, pentagonal numbers and square roots increase, so their first
+digits are fixed by where they cross each digit edge d*10^k, found by
+bisection on n with one exact integer test per step (`_TERM_BELOW`).  The
+primes below a bound are counted between the digit edges in the odd sieve
+that `primes_below` lists from.  Fibonacci, Catalan, Bell and partition
+numbers are read off float logs with a proven error bound, one numpy array
+for all terms past a listed head, and the few terms whose logs lie too
+close to a digit edge are computed exactly.  Lucky, Ulam, Keith and
+idoneal numbers are listed and tallied.
 """
 from __future__ import annotations
 
@@ -162,7 +163,8 @@ def bell(count: int) -> Iterator[int]:
     """B(1)..B(count) = 1, 2, 5, 15, 52, ... via the Bell triangle.
 
     Each triangle row starts with the previous row's last entry and adds
-    pairwise; row n ends in B(n).
+    pairwise; row n ends in B(n).  `digit_histogram_of` lists only the first
+    _LISTED_HEAD terms and reads the rest off `_bell_logs`.
     """
     row = [1]
     for _ in range(count):
@@ -177,6 +179,8 @@ def partition(count: int) -> Iterator[int]:
 
     The generalized pentagonal numbers k(3k-1)/2 and k(3k+1)/2 are tabled
     once, split by the sign of k's term; each table is ascending.
+    `digit_histogram_of` lists only the first _PARTITION_HEAD terms and
+    reads the rest off the leading term of Rademacher's series.
     """
     plus, minus = [], []
     k = 1
@@ -214,23 +218,31 @@ def ulam(count: int) -> list[int]:
     """The first `count` terms of the (1,2)-Ulam sequence.
 
     A term is the smallest integer larger than the last that is the sum of
-    two distinct earlier terms in exactly one way.  reps[s] counts such sums
-    (capped at 2), and u_n + u_{n-1} has one, so u_{n+1} <= u_n + u_{n-1}.
+    two distinct earlier terms in exactly one way.  The sums are kept as
+    bitsets in Python ints: bit s of `once` is set when s has at least one
+    such representation, and of `twice` when it has two or more.  A new term
+    t adds every sum t + u at once, as `members << t`; these are distinct,
+    so a bit of it already in `once` is a second representation.
+
+    The next term is the lowest bit of once & ~twice above the last term
+    u_n, and one is always there: u_n + u_{n-1} has exactly one
+    representation.  For if a + b = u_n + u_{n-1} with terms a < b, then
+    b = u_n, a = u_{n-1}, or else b <= u_{n-1} and a + b <= u_{n-1} +
+    u_{n-2} < u_n + u_{n-1}.
     """
     SequenceSpec("ulam", count)  # the spec's own check of count
-    terms = np.zeros(max(count, 2), dtype=np.int64)
-    terms[:2] = 1, 2
-    reps = np.zeros(64, dtype=np.int8)
-    reps[3] = 1
-    for n in range(2, count):
-        last = int(terms[n - 1])
-        window = reps[last + 1:last + int(terms[n - 2]) + 1]
-        t = terms[n] = last + 1 + int(np.argmax(window == 1))
-        if 2 * t >= len(reps):
-            reps = np.concatenate([reps, np.zeros(3 * len(reps), dtype=np.int8)])
-        sums = t + terms[:n]
-        reps[sums] = np.minimum(reps[sums], 1) + 1
-    return terms[:count].tolist()
+    terms = [1, 2]
+    members, once, twice = 0b110, 1 << 3, 0
+    while len(terms) < count:
+        last = terms[-1]
+        unique = (once & ~twice) >> (last + 1)
+        t = last + (unique & -unique).bit_length()
+        shifted = members << t
+        twice |= once & shifted
+        once |= shifted
+        members |= 1 << t
+        terms.append(t)
+    return terms[:count]
 
 
 def keith(count: int) -> list[int]:
@@ -367,9 +379,9 @@ def _prime_histogram(bound: int) -> DigitHistogram:
     return DigitHistogram.from_counts(counts)
 
 
-# Fibonacci and Catalan numbers taken from their generators, as exact ints,
-# before the float logs of the later terms take over; among the first ones
-# 1, 2 and 5 have logs exactly on a digit edge.
+# Fibonacci, Catalan and Bell numbers taken from their generators, as exact
+# ints, before the float logs of the later terms take over; among the first
+# ones 1, 2 and 5 have logs exactly on a digit edge.
 _LISTED_HEAD = 64
 
 # log10((1 + sqrt 5) / 2) and log10(sqrt 5), each the nearest float to it
@@ -434,6 +446,146 @@ def _catalan_histogram(count: int) -> DigitHistogram:
         lambda i: math.comb(2 * int(n[i]), int(n[i])) // int(n[i] + 1))
 
 
+def _ascending(terms: Iterator):
+    """term(i): item i of the iterator `terms` from where it stands now, for
+    i that increase from one call to the next, as `_digits_from_log10` asks
+    for them; so one pass of a recurrence computes every near-edge term."""
+    taken = 0
+
+    def term(i):
+        nonlocal taken
+        value = next(islice(terms, i - taken, None))
+        taken = i + 1
+        return value
+    return term
+
+
+# log10 2 and log10 e, each the nearest float to it
+_LOG10_2 = 0.3010299956639812
+_LOG10_E = 0.4342944819032518
+
+# |x_n - log10 B(n)| <= _BELL_ERROR (n^2 + 16 (1 + x_n)) for the x_n and
+# n <= 10^6 of _bell_histogram, whose docstring proves it
+_BELL_ERROR = 2.5e-17
+
+
+def _bell_logs(count: int) -> np.ndarray:
+    """x_n close to log10 B(n) for n = 1..count, from the Bell triangle in
+    float64.  Each row is np.cumsum of the last entry of the row before
+    followed by that row; a row whose last entry passes 2^512 is scaled by
+    an exact power of two, 2^-shift, and `scale` keeps the sum of the shifts."""
+    row, scale = np.ones(1), 0
+    last, exponent = np.empty(count), np.empty(count, dtype=np.int64)
+    for n in range(count):
+        last[n], exponent[n] = row[-1], scale
+        row = np.cumsum(np.concatenate((row[-1:], row)))
+        if row[-1] > 2.0 ** 512:
+            shift = int(np.frexp(row[-1])[1])
+            row = np.ldexp(row, -shift)
+            scale += shift
+    mantissa, power = np.frexp(last)
+    return np.log10(mantissa) + (power + exponent) * _LOG10_2
+
+
+def _bell_histogram(count: int) -> DigitHistogram:
+    """The digit histogram of B(1)..B(count): the first _LISTED_HEAD terms
+    listed, then x_n from `_bell_logs` for n > _LISTED_HEAD.  A term within
+    2 _BELL_ERROR (n^2 + 16 (1 + x_n)) of a digit edge is computed exactly,
+    by the one exact triangle that lists the head, carried on to the
+    largest such n (`_ascending`).
+
+    The bound, with u = 2^-53.  Every entry of the float triangle is a sum
+    of two nonnegative entries computed before it (or a copy of one), so
+    if those are within relative gamma_a and gamma_b of the exact entries,
+    the rounded sum is within (1 + max(gamma_a, gamma_b))(1 + u) - 1: with
+    gamma_k = (1 + u)^k - 1, an entry reached through a chain of k
+    roundings is within gamma_k.  Entry j of row n + 1 takes j more
+    roundings than its first entry, the last of row n, so the last entry
+    of row n, B(n), takes 1 + 2 + ... + (n - 1) = n(n - 1)/2 <= n^2/2.
+    The scaling by 2^-shift is exact: it keeps the largest entry in
+    [0.5, 1), and the smallest, the first, in [0.5/n, 1) since
+    B(n) / B(n-1) < n, far from the subnormals; and no entry overflows,
+    each row being under 2^512 (n + 1).  So for k u <= 1e-4, n <= 10^6,
+    |log10 of the float B(n) - log10 B(n)| <= log10(e) gamma_k / (1 -
+    gamma_k) <= 0.4345 u n^2/2 <= 2.42e-17 n^2.
+    The logs: frexp splits the float B(n) 2^-scale into an exact mantissa m
+    in [0.5, 1) and an exponent p, with P = p + scale an exact integer and
+    P log10 2 <= x_n + 0.31.  np.log10(m), taken to err by at most 4 ulps of
+    a value under 0.302, is within 2.3e-16; |_LOG10_2 - log10 2| <= 2^-55
+    and the rounding of P _LOG10_2 add under 6.2e-17 P <= 2.1e-16 (x_n +
+    0.31), and the final addition u x_n.  In all, under 2.42e-17 n^2 +
+    3e-16 + 3.2e-16 x_n <= _BELL_ERROR (n^2 + 16 (1 + x_n)).
+    """
+    head = bell(count)
+    n = np.arange(_LISTED_HEAD + 1, count + 1, dtype=float)
+    x = _bell_logs(count)[_LISTED_HEAD:]
+    return _log_counted_histogram(islice(head, _LISTED_HEAD), x,
+                                  _BELL_ERROR * (n * n + 16 * (1 + x)), _ascending(head))
+
+
+# Partition numbers listed before the leading term of Rademacher's series
+# takes over: past p(600) it is within 1e-13 in log10 (_partition_histogram)
+_PARTITION_HEAD = 600
+
+# pi sqrt(2/3) and pi^2 / (6 sqrt 3), each the nearest float to it
+_RADEMACHER_C = 2.565099660323728
+_RADEMACHER_K = 0.9497031262940094
+
+# the float rounding in the x_n of _partition_histogram is under
+# _PARTITION_ROUNDING (mu_n + 2.5 (1 + |s_n|))
+_PARTITION_ROUNDING = 4e-16
+
+
+def _partition_histogram(count: int) -> DigitHistogram:
+    """The digit histogram of p(1)..p(count): the first _PARTITION_HEAD
+    terms listed, then for n > _PARTITION_HEAD the log10 of the k = 1 term
+    of Rademacher's series (Rademacher 1937),
+
+        T_1 = K e^mu h(mu) / mu^2,  h(mu) = 1 - 1/mu + e^(-2 mu) (1 + 1/mu),
+        mu = C sqrt(n - 1/24),  C = pi sqrt(2/3),  K = pi^2 / (6 sqrt 3),
+
+    as x_n = mu log10 e + s_n, s_n = log10(K (1 - 1/mu) / mu^2): no cosh or
+    sinh is formed, so nothing overflows.  A term within twice its bound of
+    a digit edge is computed exactly by the recurrence that lists the head,
+    carried on to the largest such n (`_ascending`).
+
+    The bound.  p(n) = T_1 + T_2 + R(n, 2).  The k = 2 term T_2 has
+    A_2(n) = (-1)^n, and |T_2| / T_1 = e^(-mu/2) h(mu/2) / (sqrt 2 h(mu)),
+    under e^(-mu/2) / (sqrt 2 (1 - 1/mu)) as h(mu/2) < 1 < h(mu) + 1/mu.
+    Lehmer's (1938) remainder after N terms, as quoted by Johansson (2012),
+    is |R(n, N)| < 44 pi^2 / (225 sqrt 3) N^(-1/2) + pi sqrt 2 / 75
+    (N / (n - 1))^(1/2) sinh(pi / N sqrt(2n/3)); it holds for every
+    n <= 3000 against the exact p(n) at 60 digits (the tests check it to
+    n = 2000).  With N = 2 and sinh(nu) < e^nu / 2, nu = C sqrt(n) / 2,
+    the relative error delta of T_1 is under
+
+        (0.7072 e^(-mu/2) + mu^2 (0.83 e^(-mu) + 0.0442 e^(nu - mu) /
+        sqrt(n - 1))) / (1 - 1/mu),
+
+    and |log10 p(n) - log10 T_1| <= log10(e) delta / (1 - delta) <=
+    0.44 delta, also covering the float evaluation of delta and the dropped
+    e^(-2 mu) term, under 1e-50 past n = 600.  The rounding, u = 2^-53:
+    n - 1/24, the square root, C and the product put mu within 3.6 u
+    relative, moving x_n by under 0.4343 * 3.6 u mu; the rounded constant
+    and product in mu log10 e add 2 u 0.4343 mu, and the final sum u x_n <=
+    0.49 u mu: under 4e-16 mu in all.  The argument of s_n is within 5 u
+    relative, 2.4e-16 in s_n, and np.log10, taken to err by at most 4 ulps,
+    adds 8.9e-16 |s_n|: under 1e-15 (1 + |s_n|).  The total bound is
+    0.44 delta + _PARTITION_ROUNDING (mu + 2.5 (1 + |s_n|)), under 1.1e-13
+    at n = 601 and 8.5e-14 at n = 6,000.
+    """
+    head = partition(count)
+    n = np.arange(_PARTITION_HEAD + 1, count + 1, dtype=float)
+    mu = _RADEMACHER_C * np.sqrt(n - 1 / 24)
+    s = np.log10(_RADEMACHER_K * (1 - 1 / mu) / (mu * mu))
+    x = mu * _LOG10_E + s
+    nu = _RADEMACHER_C / 2 * np.sqrt(n)
+    delta = (0.7072 * np.exp(-mu / 2) + mu * mu * (
+        0.83 * np.exp(-mu) + 0.0442 * np.exp(nu - mu) / np.sqrt(n - 1))) / (1 - 1 / mu)
+    error = 0.44 * delta + _PARTITION_ROUNDING * (mu + 2.5 * (1 - s))
+    return _log_counted_histogram(islice(head, _PARTITION_HEAD), x, error, _ascending(head))
+
+
 # Kinds whose digit histogram is counted without listing a term:
 # kind -> (count -> DigitHistogram).  An edge-counted kind reads its term
 # test from _TERM_BELOW at call time.
@@ -443,6 +595,8 @@ _COUNTED = {
     "primes_below": _prime_histogram,
     "fibonacci": _fibonacci_histogram,
     "catalan": _catalan_histogram,
+    "bell": _bell_histogram,
+    "partition": _partition_histogram,
 }
 
 
@@ -457,18 +611,19 @@ def _listed_histogram(spec: SequenceSpec) -> DigitHistogram:
 def digit_histogram_of(spec: SequenceSpec) -> DigitHistogram:
     """The digit histogram of the sequence `spec` describes.
 
-    The kinds in `_COUNTED` list no term:
+    The kinds in `_COUNTED` list no term, or only a short head:
 
     - squares, cubes, pentagonal numbers and square roots increase, so they
       are counted at the digit edges: O(D log count) tests for terms of at
       most D digits, each a comparison of Python ints, exact at any count;
     - primes_below counts the odd sieve's entries between digit edges;
-    - fibonacci and catalan read the digits of all but their first
-      _LISTED_HEAD terms off float logs with a proven error bound, and
-      compute exactly the few terms whose logs lie too close to a digit edge.
+    - fibonacci, catalan and bell read the digits of all but their first
+      _LISTED_HEAD terms, and partition of all but its first
+      _PARTITION_HEAD, off float logs with a proven error bound, and compute
+      exactly the few terms whose logs lie too close to a digit edge.
 
-    Every other kind is generated and its first digits tallied
-    `_HISTOGRAM_CHUNK` values at a time.
+    Lucky, Ulam, Keith and idoneal numbers are generated and their first
+    digits tallied `_HISTOGRAM_CHUNK` values at a time.
 
     The square roots' digits are those of the real roots.  A tally of
     `first_digit_real(math.sqrt(n))` agrees up to 249,999,999,998 terms;

@@ -23,6 +23,7 @@ from genbenford import (
     verification_report,
 )
 from genbenford.cli import main
+from genbenford.reference import SurveyRow
 
 MIXING_COUNTS = "175,90,71,61,47,48,50,41,35"
 
@@ -468,6 +469,22 @@ def test_help_exits_0(capsys, command):
     assert out.startswith(f"usage: genbenford {command}")
     # fit estimates the law's parameters: it takes none of them as flags
     assert ("--c C" in out) == (command in ("pmf", "verify"))
+
+
+def test_tables_builds_each_row_histogram_once(capsys, monkeypatch):
+    # both tables of a row share one generated histogram
+    built = []
+    histogram = SurveyRow.histogram
+
+    def counted(row):
+        built.append(row.key)
+        return histogram(row)
+
+    monkeypatch.setattr(SurveyRow, "histogram", counted)
+    code, _, _ = run(capsys, "tables", "--table", "both", "--rows", "ulam,lucky",
+                     "--m", "100", "--format", "csv")
+    assert code == 0
+    assert sorted(built) == ["lucky", "ulam"]
 
 
 def test_tables_adaptive_m_matches_fit(capsys):

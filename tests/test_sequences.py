@@ -63,6 +63,9 @@ EVERY_KIND = [
 ]
 
 
+ULAM_400 = ulam_by_definition(400)
+
+
 def survey_counts(key):
     row = next(r for r in load_survey() if r.key == key)
     return histogram_from_percentages(row.percentages, row.n).counts
@@ -164,6 +167,11 @@ class TestSievedKinds:
 
     def test_ulam_3000_matches_the_definition(self):
         assert ulam(3000) == ulam_by_definition(3000)
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(st.integers(1, 400))
+    def test_ulam_prefixes_match_the_definition(self, count):
+        assert ulam(count) == ULAM_400[:count]
 
     def test_ulam_44_reproduces_survey_row(self):
         got = [0] * 9
@@ -409,7 +417,10 @@ class TestEdgeCountedKinds:
         assert self.added_digit(n - 1) == first_digit_real(math.sqrt(n - 1)) == 4
 
 
-LOG_COUNTED = ("fibonacci", "catalan")
+LOG_COUNTED = ("fibonacci", "catalan", "bell", "partition")
+# the terms each log-counted kind lists before its logs take over
+LISTED_HEAD = {"fibonacci": seq._LISTED_HEAD, "catalan": seq._LISTED_HEAD,
+               "bell": seq._LISTED_HEAD, "partition": seq._PARTITION_HEAD}
 
 
 @pytest.fixture
@@ -431,15 +442,16 @@ def listing_path_counts(kind, count):
 
 
 class TestCountedKinds:
-    """primes_below is counted from the odd sieve, and fibonacci and catalan
-    from float logs with the near-edge terms computed exactly, listing no
-    term: each gives the histogram of the listing path."""
+    """primes_below is counted from the odd sieve, fibonacci and catalan
+    from float logs, and bell and partition from float logs after a listed
+    head, with the near-edge terms computed exactly: each gives the
+    histogram of the listing path."""
 
     def test_the_counted_kinds(self):
         assert set(seq._COUNTED) == {*EDGE_COUNTED, "primes_below", *LOG_COUNTED}
 
     @settings(max_examples=40, deadline=None, database=None)
-    @given(st.sampled_from(LOG_COUNTED + ("primes_below",)), st.integers(1, 6000))
+    @given(st.sampled_from(("fibonacci", "catalan", "primes_below")), st.integers(1, 6000))
     @example("fibonacci", seq._LISTED_HEAD)
     @example("fibonacci", seq._LISTED_HEAD + 1)
     @example("catalan", seq._LISTED_HEAD)
@@ -452,6 +464,21 @@ class TestCountedKinds:
             count *= 50  # bounds up to 300,000
         assert digit_histogram_of(SequenceSpec(kind, count)).counts == \
             listing_path_counts(kind, count)
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(st.one_of(st.tuples(st.just("bell"), st.integers(1, 1200)),
+                     st.tuples(st.just("partition"), st.integers(1, 6000))))
+    @example(("bell", seq._LISTED_HEAD))
+    @example(("bell", seq._LISTED_HEAD + 1))
+    @example(("bell", seq._PARTITION_HEAD))
+    @example(("bell", seq._PARTITION_HEAD + 1))
+    @example(("partition", seq._LISTED_HEAD))
+    @example(("partition", seq._LISTED_HEAD + 1))
+    @example(("partition", seq._PARTITION_HEAD))
+    @example(("partition", seq._PARTITION_HEAD + 1))
+    def test_bell_and_partition_match_the_listing_path(self, kind_and_count):
+        spec = SequenceSpec(*kind_and_count)
+        assert digit_histogram_of(spec).counts == seq._listed_histogram(spec).counts
 
     @pytest.mark.parametrize("kind", LOG_COUNTED)
     def test_every_count_up_to_a_thousand(self, kind):
@@ -472,32 +499,60 @@ class TestCountedKinds:
             got = digit_histogram_of(SequenceSpec("primes_below", bound)).counts
             assert list(got) == prime_digit_counts(bound, primes), bound
 
-    @pytest.mark.parametrize("kind,count", [("fibonacci", 400), ("catalan", 300)])
+    @pytest.mark.parametrize("kind,count", [("fibonacci", 400), ("catalan", 300),
+                                            ("bell", 300), ("partition", 1200)])
     def test_settling_every_term_gives_the_same_histogram(self, kind, count, monkeypatch,
                                                           settled):
-        # an error bound of 1 puts every logged term within 2 of an edge
+        # error bounds of at least 1 put every logged term within 2 of an edge
         monkeypatch.setattr(seq, "_FIBONACCI_ERROR", 1.0)
         monkeypatch.setattr(seq, "_CATALAN_ERROR", 1.0)
+        monkeypatch.setattr(seq, "_BELL_ERROR", 1.0)
+        monkeypatch.setattr(seq, "_PARTITION_ROUNDING", 1.0)
         got = digit_histogram_of(SequenceSpec(kind, count)).counts
         terms = list(generate(SequenceSpec(kind, count)))
-        assert settled[-(count - seq._LISTED_HEAD):] == terms[seq._LISTED_HEAD:]
+        head = LISTED_HEAD[kind]
+        assert settled[-(count - head):] == terms[head:]
         assert got == listing_path_counts(kind, count)
 
-    @pytest.mark.parametrize("kind,count", [("fibonacci", 30000), ("catalan", 8000)])
+    @pytest.mark.parametrize("kind,count", [("fibonacci", 30000), ("catalan", 8000),
+                                            ("bell", 606), ("partition", 6060)])
     def test_only_small_terms_are_settled(self, kind, count, settled):
         # a deterministic work counter: at the benchmark's largest sizes the
         # settled terms are those of the listed head that sit on an edge or
-        # near one (1, 2 and 5 on it), never a large term
+        # near one (1, 2 and 5 on it, and 3 and 7 among the partitions),
+        # never a large term
         digit_histogram_of(SequenceSpec(kind, count))
         assert 1 <= len(settled) <= 10
         assert max(settled) < 10 ** 20
 
-    @pytest.mark.parametrize("kind,count", [("fibonacci", 20000), ("catalan", 8000)])
+    def test_lehmers_remainder_bounds_the_rademacher_series(self):
+        # p(n) - T_1 - T_2 against Lehmer's bound on the terms past N = 2,
+        # in the form _partition_histogram relies on, for every n to 2,000
+        exact = [1, *partition(2000)]
+        with mpmath.workdps(60):
+            c = mpmath.pi * mpmath.sqrt(mpmath.mpf(2) / 3)
+
+            def rademacher_term(n, k):
+                lam = mpmath.sqrt(n - mpmath.mpf(1) / 24)
+                mu = c * lam / k
+                return (mpmath.sqrt(k) * c / (2 * k * lam ** 2 * mpmath.pi * mpmath.sqrt(2))
+                        * (mpmath.cosh(mu) - mpmath.sinh(mu) / mu))
+
+            for n in range(2, 2001):
+                remainder = (44 * mpmath.pi ** 2 / (225 * mpmath.sqrt(6))
+                             + mpmath.pi * mpmath.sqrt(2) / 75 * mpmath.sqrt(2 / mpmath.mpf(n - 1))
+                             * mpmath.sinh(mpmath.pi / 2 * mpmath.sqrt(2 * mpmath.mpf(n) / 3)))
+                series = rademacher_term(n, 1) + (-1) ** n * rademacher_term(n, 2)
+                assert abs(exact[n] - series) < remainder, n
+
+    @pytest.mark.parametrize("kind,count", [("fibonacci", 20000), ("catalan", 8000),
+                                            ("bell", 600), ("partition", 6000)])
     def test_the_logs_lie_within_their_error_bounds(self, kind, count, monkeypatch):
         # the x_n and bounds each histogram passes on, against 40-digit logs:
         # n log10 phi - log10 sqrt 5 (F(n) differs from phi^n / sqrt 5 by
-        # under 1e-26 in log10 past the head), and the running sum of the
-        # exact log10 C(k+1)/C(k)
+        # under 1e-26 in log10 past the head), the running sum of the exact
+        # log10 C(k+1)/C(k), and the logs of the exact Bell and partition
+        # numbers
         passed = []
 
         def digits_from_log10(x, error, term):
@@ -514,12 +569,21 @@ class TestCountedKinds:
                 # the proof takes the constants to be the nearest floats
                 assert (seq._LOG10_PHI, seq._LOG10_SQRT5) == (float(log_phi), float(log_sqrt5))
                 exact = [n * log_phi - log_sqrt5 for n in range(seq._LISTED_HEAD + 1, count + 1)]
-            else:
+            elif kind == "catalan":
                 running, exact = mpmath.mpf(0), []
                 for k in range(count - 1):
                     running += mpmath.log10(mpmath.mpf(2 * (2 * k + 1)) / (k + 2))
                     if k + 1 >= seq._LISTED_HEAD:
                         exact.append(running)
+            else:
+                # the proofs take the constants to be the nearest floats
+                assert (seq._LOG10_2, seq._LOG10_E) == (float(mpmath.log10(2)),
+                                                        float(mpmath.log10(mpmath.e)))
+                assert (seq._RADEMACHER_C, seq._RADEMACHER_K) == (
+                    float(mpmath.pi * mpmath.sqrt(mpmath.mpf(2) / 3)),
+                    float(mpmath.pi ** 2 / (6 * mpmath.sqrt(3))))
+                terms = list(generate(SequenceSpec(kind, count)))[LISTED_HEAD[kind]:]
+                exact = [mpmath.log10(term) for term in terms]
             assert len(exact) == len(x)
             excess = max(abs(mpmath.mpf(float(xn)) - e) / float(bound)
                          for xn, e, bound in zip(x, exact, error))
