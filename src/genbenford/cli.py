@@ -27,7 +27,6 @@ from .distributions import (
     Benford,
     adaptive_truncation,
     model_to_dict,
-    pb_truncation_deficit,
     pmf_vector,
 )
 from .fitting import FitResult, chi_square_stat, fit_pb, fit_tspb
@@ -90,7 +89,7 @@ def _build_model(args):
     model = _law(law, **{f.name: _required(f.name, getattr(args, f.name))
                          for f in fields(law) if f.name != "m"})
     mflag = _m_flag(args.m)  # after the law's own fields, as PB checks m last
-    if law is PB:
+    if "m" in own:  # a truncated law
         m = (adaptive_truncation(model.alpha, model.beta) if mflag == "adaptive"
              else _resolve_m(mflag))
         model = replace(model, m=m)
@@ -137,8 +136,7 @@ def _emit(header, rows, fmt):
 def cmd_pmf(args) -> int:
     model = _build_model(args)
     probs = pmf_vector(model).tolist()
-    deficit = (pb_truncation_deficit(model.alpha, model.beta, model.m)
-               if isinstance(model, PB) else None)
+    deficit = model.deficit()
     if args.format == "json":
         obj = {"model": model_to_dict(model), "probabilities": probs}
         if deficit is not None:

@@ -8,7 +8,7 @@ Positive reals keep a guard that reads a value within 1e-12 (in log10)
 below a digit bound as that bound's digit, so 0.3 reads 3, applied to
 `math.log10`'s own fraction wherever the guard could matter.  Its read and
 settle step, `_digits_from_log10`, takes any float logs with an error
-bound, so Fibonacci and Catalan numbers are read from their logs alone.
+bound, so the log-counted sequence kinds are read from their logs alone.
 
 A fraction's digit is looked up, not searched for: [0, 1) is cut into 1,024
 cells of width 2^-10, and since the digit bounds log10 d lie at least
@@ -238,6 +238,9 @@ def histogram_from_percentages(pct: Sequence[float], n: int) -> DigitHistogram:
     """
     if len(pct) != 9:
         raise ValueError(f"expected 9 percentages, got {len(pct)}")
+    infinite = [p for p in pct if not math.isfinite(p)]
+    if infinite:
+        raise ValueError(f"percentages must be finite, got {', '.join(map(str, infinite))}")
     if any(p < 0 for p in pct):
         raise ValueError("percentages must be non-negative")
     if not _is_integral(n):

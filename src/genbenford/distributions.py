@@ -15,7 +15,8 @@ log meaning log10 throughout:
 
 The PB series is truncated at an index m, 1 <= m < 2**1024.  The
 truncation leaves a total mass deficit of exactly b/(a+b) * (m+1)^-a,
-which is reported, never redistributed over the digits.
+which is reported, never redistributed over the digits: each law's
+`deficit()` is its missing mass, None for the untruncated Benford and TSPB.
 
 The truncated series is evaluated in time that does not grow with m: its
 first 12 terms are summed directly and the rest by Euler-Maclaurin
@@ -92,6 +93,9 @@ class Benford:
     def pmf(self) -> np.ndarray:
         return _L10[1:] - _L10[:9]
 
+    def deficit(self) -> None:
+        """None: the law is not truncated."""
+
     def exponent_branches(self) -> None:
         """None: W is the uniform U itself."""
 
@@ -111,6 +115,9 @@ class TSPB:
 
     def pmf(self) -> np.ndarray:
         return _tspb_probs(self.c)
+
+    def deficit(self) -> None:
+        """None: the law is not truncated."""
 
     def exponent_branches(self):
         """TSPP(1, c): W = (2u)^(1/c) up to the mode, 1 at u = 1/2; past it
@@ -144,6 +151,10 @@ class PB:
 
     def pmf(self) -> np.ndarray:
         return _pb_probs(self.alpha, self.beta, self.m)
+
+    def deficit(self) -> float:
+        """The mass lost to truncating the series at m: beta/(alpha+beta) * (m+1)^-alpha."""
+        return self.beta / (self.alpha + self.beta) * float(self.m + 1) ** (-self.alpha)
 
     def exponent_branches(self):
         """DP(1, alpha, beta): W = ((1 + beta/alpha) u)^(1/beta) below the
@@ -274,10 +285,8 @@ def pb_vector(alpha: float, beta: float, m: int = 1000) -> np.ndarray:
 
 
 def pb_truncation_deficit(alpha: float, beta: float, m: int) -> float:
-    """Total mass lost to truncating the PB series at m:
-    beta/(alpha+beta) * (m+1)^-alpha."""
-    m = PB(alpha, beta, m).m  # the law's own check
-    return beta / (alpha + beta) * float(m + 1) ** (-alpha)
+    """PB(alpha, beta, m).deficit(): the mass lost to truncating at m."""
+    return PB(alpha, beta, m).deficit()
 
 
 def adaptive_truncation(alpha: float, beta: float) -> int:

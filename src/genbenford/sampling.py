@@ -148,7 +148,7 @@ class VerificationReport:
     seed: int
     expected: tuple       # analytic probabilities per digit
     observed: tuple       # observed frequencies per digit
-    z_scores: tuple       # (O_d - n p_d) / sqrt(n p_d (1 - p_d))
+    z_scores: tuple       # (O_d - n p_d) / sqrt(n p_d (1 - p_d)), 0 for 0/0
     chi_square: float
 
     @property
@@ -162,18 +162,18 @@ class VerificationReport:
 def verification_report(model: ModelParams, n_samples: int, seed: int) -> VerificationReport:
     """Sample the model, compare against its analytic pmf, and report
     per-digit z-scores plus the overall chi-square.  A pmf whose missing mass
-    (PB's truncation deficit) would hold at least one of the draws, which the
+    (the law's `deficit()`) would hold at least one of the draws, which the
     tally still reads as digits, raises ValueError before any draw."""
     probs = pmf_vector(model)
-    missing = 1.0 - math.fsum(probs)
+    missing = model.deficit() or 0.0
     if _is_integral(n_samples) and n_samples * missing >= 1:
         raise ValueError(f"the pmf lacks mass {missing:.3g}, about {n_samples * missing:.0f} "
                          f"of the {n_samples} draws: raise the truncation m")
     hist = empirical_digit_pmf(model, n_samples, seed)
-    counts = np.asarray(hist.counts, dtype=float)
+    chi2 = chi_square_stat(hist, probs)  # first: it refuses a draw in a cell of p = 0
     n = hist.sample_size
-    z = (counts - n * probs) / np.sqrt(n * probs * (1.0 - probs))
-    chi2 = chi_square_stat(hist, probs)
+    sd = np.sqrt(n * probs * (1.0 - probs))
+    z = np.divide(np.asarray(hist.counts) - n * probs, sd, out=np.zeros(9), where=sd > 0)
     return VerificationReport(
         model=model,
         n_samples=n,

@@ -17,8 +17,9 @@ primes below a bound are counted between the digit edges in the odd sieve
 that `primes_below` lists from.  Fibonacci, Catalan, Bell and partition
 numbers are read off float logs with a proven error bound, one numpy array
 for all terms past a listed head, and the few terms whose logs lie too
-close to a digit edge are computed exactly.  Lucky, Ulam, Keith and
-idoneal numbers are listed and tallied.
+close to a digit edge are computed exactly, by the kind's own generator
+carried on past the head to them.  Lucky, Ulam, Keith and idoneal numbers
+are listed and tallied.
 """
 from __future__ import annotations
 
@@ -133,17 +134,6 @@ def fibonacci(count: int) -> Iterator[int]:
     for _ in range(count):
         yield a
         a, b = b, a + b
-
-
-def _fibonacci_at(n: int) -> int:
-    """F(n) alone, by fast doubling: from (F(k), F(k+1)), F(2k) =
-    F(k)(2F(k+1) - F(k)) and F(2k+1) = F(k)^2 + F(k+1)^2, one bit of n a step."""
-    a, b = 0, 1
-    for bit in bin(n)[2:]:
-        a, b = a * (2 * b - a), a * a + b * b
-        if bit == "1":
-            a, b = b, a + b
-    return a
 
 
 def catalan(count: int) -> Iterator[int]:
@@ -322,9 +312,10 @@ def generate(spec: SequenceSpec):
 # a fixed numpy cost in _first_digits (about 20 us, against about 80 us for
 # the whole of a chunk of 1024 partition numbers, half of that the conversion
 # of the ints to float64, on one core of a shared 2-CPU x86-64 host), so
-# larger chunks are cheaper per value; but a chunk of huge ints is held
-# whole, and 1024 fibonacci(30000) terms (up to 6,270 digits each) peak at
-# about 5.5 MB traced, against about 19 MB at 4096; RSS grows with it.
+# larger chunks are cheaper per value.  Only the reference listings of the
+# counted kinds (tests/digits_corpus.py) hold huge ints in a chunk: 1024
+# fibonacci(30000) terms (up to 6,270 digits each) peak at about 5.5 MB
+# traced, against about 19 MB at 4096.
 _HISTOGRAM_CHUNK = 1024
 
 # Whether term n of an increasing closed-form kind lies below the edge E,
@@ -395,19 +386,33 @@ _FIBONACCI_ERROR = 1e-16
 _CATALAN_ERROR = 5e-16
 
 
-def _log_counted_histogram(head, x, error, term) -> DigitHistogram:
-    """The digit histogram of the listed terms `head`, then of the terms
-    whose logs are x (within `error`); `term(i)` is the exact term at x[i]."""
-    return histogram(np.concatenate([_first_digits(list(head)),
-                                     _digits_from_log10(x, error, term)]))
+def _ascending(terms: Iterator):
+    """term(i): item i of the iterator `terms` from where it stands now, for
+    i that increase from one call to the next, as `_digits_from_log10` asks
+    for them."""
+    taken = 0
+
+    def term(i):
+        nonlocal taken
+        value = next(islice(terms, i - taken, None))
+        taken = i + 1
+        return value
+    return term
+
+
+def _log_counted_histogram(terms: Iterator, head: int, x, error) -> DigitHistogram:
+    """The digit histogram of the first `head` items of the generator `terms`,
+    listed, then of the items whose logs are x (within `error`), of which
+    those near a digit edge are computed by carrying `terms` on to them."""
+    listed = _first_digits(list(islice(terms, head)))
+    return histogram(np.concatenate([listed, _digits_from_log10(x, error, _ascending(terms))]))
 
 
 def _fibonacci_histogram(count: int) -> DigitHistogram:
     """The digit histogram of F(1)..F(count): the first _LISTED_HEAD terms
     listed, then x_n = n L - S for n > _LISTED_HEAD, with L and S the
     nearest floats to log10 phi and log10 sqrt 5, phi = (1 + sqrt 5) / 2.
-    A term within 2 _FIBONACCI_ERROR n of a digit edge is computed by
-    `_fibonacci_at`.
+    A term within 2 _FIBONACCI_ERROR n of a digit edge is computed exactly.
 
     The bound.  log10 F(n) = n log10 phi - log10 sqrt 5 + log10(1 -
     (-phi^-2)^n), and the last term is under 1e-26 for n > 64.  With
@@ -418,9 +423,8 @@ def _fibonacci_histogram(count: int) -> DigitHistogram:
     1e-16 n.
     """
     n = np.arange(_LISTED_HEAD + 1, count + 1, dtype=float)
-    return _log_counted_histogram(
-        fibonacci(min(count, _LISTED_HEAD)), n * _LOG10_PHI - _LOG10_SQRT5,
-        _FIBONACCI_ERROR * n, lambda i: _fibonacci_at(_LISTED_HEAD + 1 + i))
+    return _log_counted_histogram(fibonacci(count), _LISTED_HEAD,
+                                  n * _LOG10_PHI - _LOG10_SQRT5, _FIBONACCI_ERROR * n)
 
 
 def _catalan_histogram(count: int) -> DigitHistogram:
@@ -428,7 +432,7 @@ def _catalan_histogram(count: int) -> DigitHistogram:
     terms listed, then x_n = log10 C(n) for n >= _LISTED_HEAD as the
     running sum of t_k = log10(2(2k+1)/(k+2)), k < n, the logs of
     C(k+1)/C(k).  A term within 2 _CATALAN_ERROR n (1 + x_n) of a digit
-    edge is computed as binomial(2n, n) // (n + 1).
+    edge is computed exactly.
 
     The bound, with u = 2^-53.  The quotient 2(2k+1)/(k+2) of two exact
     floats rounds by at most u relative, moving its log by under
@@ -441,23 +445,7 @@ def _catalan_histogram(count: int) -> DigitHistogram:
     k = np.arange(count - 1, dtype=float)
     x = np.cumsum(np.log10(2 * (2 * k + 1) / (k + 2)))[_LISTED_HEAD - 1:]
     n = np.arange(_LISTED_HEAD, count)
-    return _log_counted_histogram(
-        catalan(min(count, _LISTED_HEAD)), x, _CATALAN_ERROR * n * (1 + x),
-        lambda i: math.comb(2 * int(n[i]), int(n[i])) // int(n[i] + 1))
-
-
-def _ascending(terms: Iterator):
-    """term(i): item i of the iterator `terms` from where it stands now, for
-    i that increase from one call to the next, as `_digits_from_log10` asks
-    for them; so one pass of a recurrence computes every near-edge term."""
-    taken = 0
-
-    def term(i):
-        nonlocal taken
-        value = next(islice(terms, i - taken, None))
-        taken = i + 1
-        return value
-    return term
+    return _log_counted_histogram(catalan(count), _LISTED_HEAD, x, _CATALAN_ERROR * n * (1 + x))
 
 
 # log10 2 and log10 e, each the nearest float to it
@@ -516,11 +504,10 @@ def _bell_histogram(count: int) -> DigitHistogram:
     0.31), and the final addition u x_n.  In all, under 2.42e-17 n^2 +
     3e-16 + 3.2e-16 x_n <= _BELL_ERROR (n^2 + 16 (1 + x_n)).
     """
-    head = bell(count)
     n = np.arange(_LISTED_HEAD + 1, count + 1, dtype=float)
     x = _bell_logs(count)[_LISTED_HEAD:]
-    return _log_counted_histogram(islice(head, _LISTED_HEAD), x,
-                                  _BELL_ERROR * (n * n + 16 * (1 + x)), _ascending(head))
+    return _log_counted_histogram(bell(count), _LISTED_HEAD, x,
+                                  _BELL_ERROR * (n * n + 16 * (1 + x)))
 
 
 # Partition numbers listed before the leading term of Rademacher's series
@@ -574,7 +561,6 @@ def _partition_histogram(count: int) -> DigitHistogram:
     0.44 delta + _PARTITION_ROUNDING (mu + 2.5 (1 + |s_n|)), under 1.1e-13
     at n = 601 and 8.5e-14 at n = 6,000.
     """
-    head = partition(count)
     n = np.arange(_PARTITION_HEAD + 1, count + 1, dtype=float)
     mu = _RADEMACHER_C * np.sqrt(n - 1 / 24)
     s = np.log10(_RADEMACHER_K * (1 - 1 / mu) / (mu * mu))
@@ -583,7 +569,7 @@ def _partition_histogram(count: int) -> DigitHistogram:
     delta = (0.7072 * np.exp(-mu / 2) + mu * mu * (
         0.83 * np.exp(-mu) + 0.0442 * np.exp(nu - mu) / np.sqrt(n - 1))) / (1 - 1 / mu)
     error = 0.44 * delta + _PARTITION_ROUNDING * (mu + 2.5 * (1 - s))
-    return _log_counted_histogram(islice(head, _PARTITION_HEAD), x, error, _ascending(head))
+    return _log_counted_histogram(partition(count), _PARTITION_HEAD, x, error)
 
 
 # Kinds whose digit histogram is counted without listing a term:

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import shutil
 import warnings
 from dataclasses import fields
 from itertools import islice
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from genbenford import (
     DigitHistogram,
     SequenceSpec,
+    data_dir,
     first_digit_int,
     first_digit_real,
     generate,
@@ -27,6 +29,7 @@ from genbenford.digits import (
     _first_digits,
     _settled_digit,
 )
+from genbenford.cli import main
 from genbenford.sequences import _HISTOGRAM_CHUNK
 from oracles import digits_by_search, fibonacci_list, leading_digit, sieve_primes
 
@@ -392,6 +395,21 @@ class TestHistogramFromPercentages:
         for n in (1000.7, "1000", math.nan, math.inf):
             with pytest.raises(ValueError, match="sample size must be an integer"):
                 histogram_from_percentages([100.0 / 9] * 9, n)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_non_finite_percentage_by_name(self, bad):
+        with pytest.raises(ValueError, match=rf"^percentages must be finite, got {bad}$"):
+            histogram_from_percentages([bad] + [12.5] * 8, 100)
+
+    def test_a_survey_row_with_an_infinite_percentage_names_it(self, capsys, tmp_path,
+                                                               monkeypatch):
+        custom = tmp_path / "data"
+        shutil.copytree(data_dir(), custom)
+        survey = custom / "digit_survey.csv"
+        survey.write_text(survey.read_text().replace(",618,28.3,", ",618,inf,"))
+        monkeypatch.setenv("BENFORD_DATA_DIR", str(custom))
+        assert main(["tables", "--table", "digits", "--format", "csv", "--rows", "mixing"]) == 1
+        assert "error: percentages must be finite, got inf" in capsys.readouterr().out
 
     def test_accepts_an_integral_float_or_numpy_sample_size(self):
         pct = [30.1, 17.6, 12.5, 9.7, 7.9, 6.7, 5.8, 5.1, 4.6]

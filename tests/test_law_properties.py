@@ -10,7 +10,7 @@ from dataclasses import fields
 
 import mpmath
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import genbenford.distributions as dist
@@ -80,11 +80,18 @@ def test_tspb_cells_are_a_pmf(c):
 
 
 @fast
-@given(pb_laws)
+@given(laws)
+@example(Benford())
+@example(TSPB(2.0))
 def test_pb_mass_plus_deficit_is_one(law):
+    # every law's mass plus its deficit, None for the untruncated laws
     total = math.fsum(pmf_vector(law))
-    deficit = pb_truncation_deficit(law.alpha, law.beta, law.m)
-    assert abs(total + deficit - 1.0) <= 1e-12
+    deficit = law.deficit()
+    if isinstance(law, PB):
+        assert deficit == pb_truncation_deficit(law.alpha, law.beta, law.m)
+    else:
+        assert deficit is None
+    assert abs(total + (deficit or 0.0) - 1.0) <= 1e-12
 
 
 @settings(max_examples=200, deadline=None, database=None)

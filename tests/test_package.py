@@ -1,12 +1,28 @@
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import genbenford
-from genbenford import digits, distributions, fitting, reference, sampling, sequences
+from genbenford import cli, digits, distributions, fitting, reference, sampling, sequences
 
 MODULES = (digits, distributions, fitting, reference, sampling, sequences)
+
+# What the benchmark under bench/ calls through the package
+# (bench/workloads.py) and wraps by module and name (bench/spans.py).
+BENCH_CALLS = ("Benford", "TSPB", "PB", "SequenceSpec", "DigitHistogram", "pmf_vector",
+               "pb_vector", "goodness_of_fit", "fit_pb", "fit_tspb", "adaptive_truncation",
+               "verification_report", "digit_histogram_of", "load_survey")
+BENCH_SPANS = {
+    cli: ("main",),
+    reference: ("load_survey",),
+    fitting: ("fit_pb", "fit_tspb", "goodness_of_fit"),
+    distributions: ("pb_vector", "tspb_vector", "adaptive_truncation"),
+    sampling: ("verification_report",),
+    digits: ("first_digit_int", "first_digit_real", "histogram"),
+    sequences: sequences.SEQUENCE_KINDS,
+}
 
 
 def test_package_exports_each_modules_public_names():
@@ -17,6 +33,20 @@ def test_package_exports_each_modules_public_names():
         for name in module.__all__:
             assert getattr(genbenford, name) is getattr(module, name)
     assert isinstance(genbenford.__version__, str)
+
+
+def test_every_name_the_benchmark_uses_resolves():
+    for name in BENCH_CALLS:
+        assert callable(getattr(genbenford, name)), name
+    assert callable(genbenford.DigitHistogram.from_counts)
+    for module, names in BENCH_SPANS.items():
+        for name in names:
+            assert callable(getattr(module, name)), f"{module.__name__}.{name}"
+    # the spans read m as fit_pb's second and pb_vector's third argument,
+    # or as the keyword m, with the default 1000
+    for f, index in ((fitting.fit_pb, 1), (distributions.pb_vector, 2)):
+        params = list(inspect.signature(f).parameters.values())
+        assert (params[index].name, params[index].default) == ("m", 1000), f.__name__
 
 
 def test_cli_runs_on_numpy_alone():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -348,6 +349,17 @@ class TestVerificationReport:
     def test_a_pmf_missing_under_one_draw_is_checked(self):
         # PB(2, 1, 1000) lacks 3.3e-7 of its mass: 0.33 of 10^6 draws
         assert verification_report(PB(2.0, 1.0, 1000), 1_000_000, seed=1).passed()
+
+    def test_cells_of_probability_zero_that_draw_nothing_have_z_zero(self):
+        # TSPB(1e-300) puts all its mass on digits 1 and 9: 0/0 on the other
+        # seven cells is no z-score
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = verification_report(TSPB(1e-300), 100_000, seed=20240811)
+        assert rep.expected[1:8] == (0.0,) * 7 and rep.observed[1:8] == (0.0,) * 7
+        assert rep.z_scores[1:8] == (0.0,) * 7
+        assert rep.max_abs_z == max(abs(rep.z_scores[0]), abs(rep.z_scores[8]))
+        assert rep.passed()
 
     def test_small_n_still_well_formed(self):
         rep = verification_report(Benford(), 1_000, seed=1)

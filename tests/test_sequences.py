@@ -589,11 +589,6 @@ class TestCountedKinds:
                          for xn, e, bound in zip(x, exact, error))
         assert excess <= 1
 
-    def test_fast_doubling_matches_the_generator(self):
-        terms = fibonacci_list(3000)
-        assert [seq._fibonacci_at(n) for n in range(1, 3001)] == terms
-        assert seq._fibonacci_at(0) == 0
-
 
 class TestSpecAndCustomFiles:
     def test_rejects_unknown_kind(self):
