@@ -234,7 +234,8 @@ def histogram_from_percentages(pct: Sequence[float], n: int) -> DigitHistogram:
     Rounds n*pct/100 per digit, then reconciles the total to exactly n by
     largest-remainder adjustment (ties broken toward the lower digit).
     Inputs that would need to move more than one count per digit are
-    rejected as inconsistent.
+    rejected as inconsistent, as are percentages outside [0, 100] and an
+    n*pct/100 past the float range.
     """
     if len(pct) != 9:
         raise ValueError(f"expected 9 percentages, got {len(pct)}")
@@ -243,13 +244,22 @@ def histogram_from_percentages(pct: Sequence[float], n: int) -> DigitHistogram:
         raise ValueError(f"percentages must be finite, got {', '.join(map(str, infinite))}")
     if any(p < 0 for p in pct):
         raise ValueError("percentages must be non-negative")
+    over = [p for p in pct if p > 100]
+    if over:
+        raise ValueError(f"percentages must be at most 100, got {', '.join(map(str, over))}")
     if not _is_integral(n):
         raise ValueError(f"sample size must be an integer, got {n!r}")
     n = int(n)
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
 
-    raw = [n * float(p) / 100.0 for p in pct]
+    try:
+        raw = [n * float(p) / 100.0 for p in pct]
+    except OverflowError:  # n past the float range
+        raw = [math.inf] * 9
+    overflow = [p for p, r in zip(pct, raw) if not math.isfinite(r)]
+    if overflow:  # as p <= 100, n is then past 1e306, too long to print in full
+        raise ValueError(f"n * p / 100 must be finite, got p = {overflow[0]} and n above 1e306")
     base = [math.floor(r + 0.5) for r in raw]
     deficit = n - sum(base)
     if abs(deficit) > 9:

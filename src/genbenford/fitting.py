@@ -287,9 +287,8 @@ def _newton_polish(f, x: np.ndarray) -> tuple:
     point x (2,): each iteration calls f once on the 3x3 stencil giving the
     gradient and Hessian, once on the line search.  If the Hessian is not
     positive definite, each coordinate takes a Newton step where its
-    curvature is > 0, else a unit step down the gradient; log alpha holds at
-    the cap if the gradient points past it.  Returns (x, fun, nfev,
-    converged): converged unless stopped at _NEWTON_MAXITER."""
+    curvature is > 0, else a unit step down the gradient.  Returns (x, fun,
+    nfev, converged): converged unless stopped at _NEWTON_MAXITER."""
     x, nfev = np.array(x, dtype=float), 0
     for _ in range(_NEWTON_MAXITER):
         s = f(x + _STENCIL).reshape(3, 3)
@@ -301,8 +300,6 @@ def _newton_polish(f, x: np.ndarray) -> tuple:
             det = curv[0] * curv[1] - cross ** 2
             step = ((cross * g[::-1] - curv[::-1] * g) / det if curv[0] > 0 and det > 0
                     else np.where(curv > 0, -g / curv, -g))
-        if x[0] >= _LOG_ALPHA_CAP - _H and g[0] <= 0:
-            step[0] = 0.0
         # the scaled steps, then the point moved to the cap, for a valley falling to it
         trial = np.append(x + _STEP_SCALES[:, None] * step, [x + [np.inf, 0.0]], axis=0)
         trial[:, 0] = np.minimum(trial[:, 0], _LOG_ALPHA_CAP)

@@ -5,7 +5,9 @@ Catalan(99) or Bell(100) keep their exact leading digit.  Squares, cubes and
 pentagonal numbers are running sums (`itertools.accumulate`) of their exact
 integer differences, and partition numbers come from Euler's recurrence over
 a precomputed table of pentagonal offsets.  Keith and idoneal numbers ship as
-bundled data files; the rest are generated from scratch.
+bundled data files; the rest are generated from scratch.  Ulam numbers
+come from bitsets of the sums above the last term (`ulam`), lucky numbers
+from a sieve run first to a limit near the last one (`_lucky_limit`).
 A user's data file is values (`read_values`), not a sequence kind.
 
 `digit_histogram_of` counts nine kinds, each by its entry in the one
@@ -188,10 +190,30 @@ def partition(count: int) -> Iterator[int]:
         yield total
 
 
+def _lucky_limit(count: int) -> int:
+    """The first sieve limit for `count` lucky numbers: count (ln count +
+    ln ln count + 2), at least 200.  The n-th lucky number grows like
+    n ln n (Gardiner, Lazarus, Metropolis & Ulam 1956; Hawkins & Briggs
+    1957); this limit is 1.12 to 1.24 times it for every count from 1,000
+    to 100,000."""
+    if count < 3:
+        return 200
+    log = math.log(count)
+    return max(200, int(count * (log + math.log(log) + 2)))
+
+
 def lucky(count: int) -> list[int]:
-    """The first `count` lucky numbers 1, 3, 7, 9, 13, ... by the lucky sieve."""
+    """The first `count` lucky numbers 1, 3, 7, 9, 13, ... by the lucky sieve.
+
+    The sieve runs over the odd numbers below a limit, first `_lucky_limit`.
+    Each pass deletes survivors by their position in the list, and the
+    positions below the limit do not depend on any number above it, so the
+    survivors are exactly the lucky numbers below the limit, whatever it is.
+    If they are fewer than `count`, the limit doubles and the sieve reruns:
+    the result never rests on the bound.
+    """
     SequenceSpec("lucky", count)  # the spec's own check of count
-    limit = max(200, 30 * count)
+    limit = _lucky_limit(count)
     while True:
         survivors = list(range(1, limit, 2))
         i = 1
@@ -204,34 +226,47 @@ def lucky(count: int) -> list[int]:
         limit *= 2
 
 
+_LOW_64 = (1 << 64) - 1
+
+
 def ulam(count: int) -> list[int]:
     """The first `count` terms of the (1,2)-Ulam sequence.
 
     A term is the smallest integer larger than the last that is the sum of
     two distinct earlier terms in exactly one way.  The sums are kept as
-    bitsets in Python ints: bit s of `once` is set when s has at least one
-    such representation, and of `twice` when it has two or more.  A new term
-    t adds every sum t + u at once, as `members << t`; these are distinct,
-    so a bit of it already in `once` is a second representation.
+    bitsets in Python ints, in a frame that starts just above the last term
+    u_n: bit i of `once` is set when the sum u_n + 1 + i has at least one
+    such representation, and of `twice` when it has two or more; bit u - 1
+    of `low` is set for each term u.  No sum at or below u_n is kept, as
+    none is read again.
 
-    The next term is the lowest bit of once & ~twice above the last term
-    u_n, and one is always there: u_n + u_{n-1} has exactly one
-    representation.  For if a + b = u_n + u_{n-1} with terms a < b, then
-    b = u_n, a = u_{n-1}, or else b <= u_{n-1} and a + b <= u_{n-1} +
-    u_{n-2} < u_n + u_{n-1}.
+    The next term is u_n + g, with g - 1 the lowest set bit of once ^ twice
+    (twice is a subset of once), and one is always set: the sum u_n +
+    u_{n-1}, at bit u_{n-1} - 1, has exactly one representation.  For if
+    a + b = u_n + u_{n-1} with terms a < b, then b = u_n, a = u_{n-1}, or
+    else b <= u_{n-1} and a + b <= u_{n-1} + u_{n-2} < u_n + u_{n-1}.  The
+    bit is read from the low 64 bits of both sets, or from the whole ints
+    when no bit is set there (gaps reach 122 by term 2,018 and 262 by term
+    5,000).
+
+    A new term t = u_n + g moves the frame up by g: `once` and `twice` shift
+    right by g, dropping the sums up to t.  In the new frame the new sums
+    t + u are at bit u - 1, that is exactly `low`; they are distinct, so a
+    bit of `low` already in `once` is a second representation.
     """
     SequenceSpec("ulam", count)  # the spec's own check of count
     terms = [1, 2]
-    members, once, twice = 0b110, 1 << 3, 0
-    while len(terms) < count:
-        last = terms[-1]
-        unique = (once & ~twice) >> (last + 1)
-        t = last + (unique & -unique).bit_length()
-        shifted = members << t
-        twice |= once & shifted
-        once |= shifted
-        members |= 1 << t
-        terms.append(t)
+    # above the last term 2: the one sum 3 = 1 + 2, at bit 0
+    last, low, once, twice = 2, 0b11, 1, 0
+    for _ in range(count - 2):
+        unique = (once & _LOW_64) ^ (twice & _LOW_64) or once ^ twice
+        gap = (unique & -unique).bit_length()
+        last += gap
+        once >>= gap
+        twice = (twice >> gap) | (once & low)
+        once |= low
+        low |= 1 << (last - 1)
+        terms.append(last)
     return terms[:count]
 
 

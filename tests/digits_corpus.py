@@ -1,4 +1,5 @@
-"""Certify digit_histogram_of on every sequence kind at the benchmark's sizes.
+"""Certify digit_histogram_of on every sequence kind at the benchmark's sizes,
+and the Ulam and lucky terms past them.
 
     PYTHONPATH=src python tests/digits_corpus.py
 
@@ -24,16 +25,20 @@ _HISTOGRAM_CHUNK at a time) is checked against the same counts at those
 kinds' sizes too.  At 10^12
 terms, past any listing, the four edge-counted kinds are checked against
 oracles.root_digit_counts, which counts by integer roots.
+Ulam and lucky numbers, which only the listing path tallies, are checked
+term by term too: ulam(5,000) against oracles.ulam_by_definition, which
+scans every candidate (about 3 s), and lucky(20,000) against
+oracles.lucky_by_mask, a numpy sieve.
 Prints one line per check and exits 1 on any mismatch.  pytest does not
-collect this file; the run takes about 8 s.
+collect this file; the run takes about 11 s.
 """
 import sys
 import time
 
-from oracles import (fibonacci_list, leading_digit, prime_digit_counts, root_digit_counts,
-                     sieve_primes, sqrt_leading_digit)
+from oracles import (fibonacci_list, leading_digit, lucky_by_mask, prime_digit_counts,
+                     root_digit_counts, sieve_primes, sqrt_leading_digit, ulam_by_definition)
 
-from genbenford import SequenceSpec, digit_histogram_of, generate
+from genbenford import SequenceSpec, digit_histogram_of, generate, lucky, ulam
 from genbenford.sequences import _COUNTED, _listed_histogram
 
 PRIME_BOUNDS = (10 ** 6, 2 * 10 ** 6 - 1, 2 * 10 ** 6, 10 ** 7)
@@ -45,6 +50,8 @@ CORPUS = [("squares", 500_000), ("cubes", 500_000), ("pentagonal", 500_000),
           ("idoneal", 0)]
 EDGE_COUNTED = ("squares", "cubes", "pentagonal", "square_roots")
 UNLISTED = 10 ** 12
+# the listed kinds whose terms are checked themselves, past the benchmark's sizes
+TERMS = [("ulam", ulam, ulam_by_definition, 5_000), ("lucky", lucky, lucky_by_mask, 20_000)]
 
 
 POLYNOMIALS = {"squares": lambda n: n * n, "cubes": lambda n: n ** 3,
@@ -87,6 +94,17 @@ def checks():
     for kind in EDGE_COUNTED:
         yield (f"{kind}({UNLISTED})", digit_histogram_of(SequenceSpec(kind, UNLISTED)).counts,
                root_digit_counts(kind, UNLISTED))
+    for kind, generator, oracle, count in TERMS:
+        yield f"{kind}({count}) terms", generator(count), oracle(count)
+
+
+def shown(got: list, want: list) -> str:
+    """A histogram in full; a term list by its length and first difference."""
+    if len(want) == 9:
+        return f"{got}" + ("" if got == want else f" != {want}")
+    first = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    return f"{len(got)} terms" + ("" if got == want else
+                                  f" != {len(want)}, first difference at index {first}")
 
 
 def main() -> int:
@@ -97,8 +115,8 @@ def main() -> int:
         status = "ok" if got == want else "MISMATCH"
         total += 1
         mismatches += got != want
-        print(f"{status} {label}: {got}" + ("" if got == want else f" != {want}"))
-    print(f"{total} histograms, {mismatches} mismatches; "
+        print(f"{status} {label}: {shown(got, want)}")
+    print(f"{total} checks, {mismatches} mismatches; "
           f"time: {time.perf_counter() - start:.1f} s")
     return 1 if mismatches else 0
 

@@ -5,8 +5,9 @@ digits come from integer comparisons against powers of ten instead of
 log10, partition counts from a coin-style DP table instead of the
 pentagonal recurrence, Bell numbers from the binomial convolution instead
 of the triangle, Ulam terms by scanning every candidate instead of keeping
-representation counts, Keith membership from the digit recurrence and Keith
-completeness from a vectorized exhaustive search, the digit counts of
+representation counts, lucky numbers by dropping survivors through a numpy
+mask instead of deleting list slices, Keith membership from the digit
+recurrence and Keith completeness from a vectorized exhaustive search, the digit counts of
 squares, cubes, pentagonal numbers and square roots from integer roots
 instead of a bisection at each digit edge, those of the primes by
 bisection over a sorted list from a full sieve instead of counts in an odd
@@ -165,6 +166,25 @@ def ulam_by_definition(count):
             terms.append(candidate)
             seen.add(candidate)
     return terms[:count]
+
+
+def lucky_by_mask(count):
+    """The first `count` lucky numbers by a numpy sieve over the odd numbers
+    below 20 count + 200, a bound doubled until it holds count survivors:
+    for k = 3, 7, 9, ..., the survivors at the positions that are multiples
+    of k are dropped by a boolean mask, until k passes their number."""
+    limit = 20 * count + 200
+    while True:
+        survivors = np.arange(1, limit, 2)
+        i = 1
+        while i < len(survivors) and survivors[i] <= len(survivors):
+            keep = np.ones(len(survivors), dtype=bool)
+            keep[survivors[i] - 1::survivors[i]] = False
+            survivors = survivors[keep]
+            i += 1
+        if len(survivors) >= count:
+            return survivors[:count].tolist()
+        limit *= 2
 
 
 def is_keith(n):

@@ -401,15 +401,44 @@ class TestHistogramFromPercentages:
         with pytest.raises(ValueError, match=rf"^percentages must be finite, got {bad}$"):
             histogram_from_percentages([bad] + [12.5] * 8, 100)
 
-    def test_a_survey_row_with_an_infinite_percentage_names_it(self, capsys, tmp_path,
-                                                               monkeypatch):
+    @staticmethod
+    def _tables_on_an_edited_mixing_row(tmp_path, monkeypatch, capsys, fields):
+        """The output of `tables` on the mixing row of a survey copy whose
+        n and first percentage ("618,28.3") are replaced by `fields`."""
         custom = tmp_path / "data"
         shutil.copytree(data_dir(), custom)
         survey = custom / "digit_survey.csv"
-        survey.write_text(survey.read_text().replace(",618,28.3,", ",618,inf,"))
+        survey.write_text(survey.read_text().replace(",618,28.3,", f",{fields},"))
         monkeypatch.setenv("BENFORD_DATA_DIR", str(custom))
         assert main(["tables", "--table", "digits", "--format", "csv", "--rows", "mixing"]) == 1
-        assert "error: percentages must be finite, got inf" in capsys.readouterr().out
+        return capsys.readouterr().out
+
+    def test_a_survey_row_with_an_infinite_percentage_names_it(self, capsys, tmp_path,
+                                                               monkeypatch):
+        out = self._tables_on_an_edited_mixing_row(tmp_path, monkeypatch, capsys, "618,inf")
+        assert "error: percentages must be finite, got inf" in out
+
+    @pytest.mark.parametrize("pct, n", [([1e308] + [0.0] * 8, 1000), ([200.0] + [0.0] * 8, 1),
+                                        ([100.5] + [0.0] * 8, 10**6)])
+    def test_rejects_a_percentage_above_100_by_name(self, pct, n):
+        message = f"percentages must be at most 100, got {pct[0]}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            histogram_from_percentages(pct, n)
+
+    @pytest.mark.parametrize("n", [10**307, 10**400, 10**5000], ids=["1e307", "1e400", "1e5000"])
+    def test_rejects_a_count_past_the_float_range(self, n):
+        message = "n * p / 100 must be finite, got p = 100.0 and n above 1e306"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            histogram_from_percentages([100.0] + [0.0] * 8, n)
+
+    @pytest.mark.parametrize("fields, message", [
+        ("618,200.0", "percentages must be at most 100, got 200.0"),
+        (f"{10**307},28.3", "n * p / 100 must be finite, got p = 28.3 and n above 1e306"),
+    ], ids=["percentage", "count"])
+    def test_a_survey_row_past_the_bounds_names_the_value(self, capsys, tmp_path, monkeypatch,
+                                                          fields, message):
+        out = self._tables_on_an_edited_mixing_row(tmp_path, monkeypatch, capsys, fields)
+        assert f"error: {message}" in out
 
     def test_accepts_an_integral_float_or_numpy_sample_size(self):
         pct = [30.1, 17.6, 12.5, 9.7, 7.9, 6.7, 5.8, 5.1, 4.6]

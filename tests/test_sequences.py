@@ -45,6 +45,7 @@ from oracles import (
     is_keith,
     keith_numbers_below,
     leading_digit,
+    lucky_by_mask,
     partitions_dp,
     prime_digit_counts,
     root_digit_counts,
@@ -157,6 +158,22 @@ class TestSievedKinds:
             got[first_digit_int(v) - 1] += 1
         assert tuple(got) == survey_counts("lucky")
 
+    @pytest.mark.parametrize("count", [1, 2, 3, 45, 1000, 5023])
+    def test_lucky_matches_the_mask_oracle(self, count):
+        assert lucky(count) == lucky_by_mask(count)
+
+    def test_first_sieve_limit_holds_every_count(self):
+        terms = lucky_by_mask(20_000)
+        short = [count for count in range(1, 20_001)
+                 if terms[count - 1] >= seq._lucky_limit(count)]
+        assert short == []
+
+    def test_a_short_first_limit_doubles_to_the_same_terms(self, monkeypatch):
+        terms = lucky_by_mask(1000)
+        monkeypatch.setattr(seq, "_lucky_limit", lambda count: 16)
+        assert terms[-1] >= 16  # so the limit must double
+        assert lucky(1000) == terms
+
     def test_ulam_prefix(self):
         assert ulam(11) == [1, 2, 3, 4, 6, 8, 11, 13, 16, 18, 26]
 
@@ -166,7 +183,10 @@ class TestSievedKinds:
             assert ulam(count) == terms[:count]
 
     def test_ulam_3000_matches_the_definition(self):
-        assert ulam(3000) == ulam_by_definition(3000)
+        terms = ulam(3000)
+        assert terms == ulam_by_definition(3000)
+        # a gap past 64 reads the next term from the whole bitsets
+        assert max(b - a for a, b in zip(terms, terms[1:])) > 64
 
     @settings(max_examples=30, deadline=None, database=None)
     @given(st.integers(1, 400))
