@@ -272,8 +272,15 @@ def _series_differences(alpha, m: int) -> np.ndarray:
 def _pb_probs(a, b, m: int) -> np.ndarray:
     """Unvalidated PB pmf, shared by PB.pmf and the fitter's objective:
     a and b are floats, or arrays of shape (K,) for a (K, 9) result."""
+    return _pb_mix(a, b, _series_differences(a, m))
+
+
+def _pb_mix(a, b, s) -> np.ndarray:
+    """The PB pmf of _pb_probs from s, the _series_differences of a: a and b
+    broadcast together to a shape whose pmfs lie on a new last axis of 9,
+    and s broadcasts to that."""
     a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
-    p, s = _L10 ** b, _series_differences(a[..., 0], m)
+    p = _L10 ** b
     if np.maximum(a, b).max() > _HALF_MAX:  # halve both weights where a + b overflows
         over = a / 2 + b / 2 > _HALF_MAX  # exactly there; the scaling is exact
         a, b = np.where(over, a / 2, a), np.where(over, b / 2, b)

@@ -8,13 +8,18 @@ TSPB, 6 for PB.
 Both fitters are deterministic and score points through one batched
 chi-square objective.  The 1-D TSPB search is one golden section run
 on all 40 cells of a 0.25-step c-grid at once, one point per cell in
-each call.  The 2-D PB search is a multistart in (log alpha, log beta)
-space: 17 starts, the best 8 kept after 40 calls, each a 2-D Nelder-Mead
-with SciPy's steps.  The simplices run a coarse pass of 100 evaluations in
-lockstep, one objective call per step, each checking its budget only
-between iterations (so it may pass it by up to 3 points).  The best coarse
-endpoint is polished by projected Newton steps (Bertsekas 1982), two
-calls per iteration.
+each call.  The 2-D PB search in (log alpha, log beta) space starts from a
+profile over log alpha (the profile chi-square of Venzon & Moolgavkar
+1988, used as a search): the series of 120 alphas is evaluated once, and
+each alpha's chi-square is minimized over log beta by a grid and a golden
+section that need no further series evaluation; the limit beta -> infinity,
+the series alone, is searched in log alpha in the same golden-section
+calls.  A 2-D Nelder-Mead with SciPy's steps runs 100 evaluations from
+each of the best 3 local minima of the profile, in lockstep, one objective
+call per step, each run checking its budget only between iterations (so
+it may pass it by up to 3 points).  The best of their endpoints and the
+limit is polished by projected Newton steps (Bertsekas 1982), two calls
+per iteration.
 tests/fit_pb_corpus.py and its dense-grid oracle judge the result: on 657
 fixed-seed histograms no fit is worse than a dense-grid search by more
 than 1e-9.  alpha is capped at exactly 1e9 (the chi-square surface goes
@@ -38,7 +43,7 @@ from .distributions import (
     model_to_dict,
     pmf_vector,
 )
-from .distributions import _pb_probs, _tspb_probs
+from .distributions import _pb_mix, _pb_probs, _series_differences, _tspb_probs
 
 __all__ = [
     "FitResult",
@@ -50,7 +55,8 @@ __all__ = [
 
 _ALPHA_CAP = 1e9
 _LOG_ALPHA_CAP = math.log(_ALPHA_CAP)
-_LOG_BETA_CAP = 700.0  # exp() overflow guard only; never binds at an optimum
+# exp() overflow guard; the law there is the limit beta -> infinity to float64
+_LOG_BETA_CAP = 700.0
 
 # cells of the 1-D search, each refined by golden section: two basins are
 # possible because both c = 1 and c = 2 reduce TSPB to Benford, and a
@@ -61,19 +67,23 @@ _C_MIN = 1e-9
 _GOLDEN_TOL = 1e-9
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# a 4x4 grid in (log alpha, log beta); the 3x3 grids over {-1, 1, 4} and
-# {-1, 1, 8} each miss a basin of tests/fit_pb_corpus.py
-_NM_STARTS = [(la, lb) for la in (-1.0, 1.0, 4.0, 8.0) for lb in (-1.0, 1.0, 4.0, 8.0)]
-# extra start at a near-Benford corner (alpha = 1e6, beta = 1) so the fit is
-# never worse than the near-Benford member of the family
-_NM_STARTS.append((math.log(1e6), 0.0))
+# fit_pb's profile over log alpha: the series of 120 alphas from e^-4 to the
+# cap, each row scored at every log beta of a grid, then refined in beta.  A
+# log-beta step of 0.32 keeps the basins of tiny histograms that a step of
+# 0.79 misses; the basins past log beta 12 are those of the limit below
+_PROFILE_LOG_ALPHAS = np.linspace(-4.0, _LOG_ALPHA_CAP, 120)
+_PROFILE_LOG_BETAS = np.linspace(-8.0, 12.0, 64)
+# the two ends in log beta: beta -> 0, where the law tends to all its mass on
+# digit 1, and beta -> infinity, where it tends to the series S(alpha) alone
+_PROFILE_ENDS = np.array([-_LOG_BETA_CAP, _LOG_BETA_CAP])
+_PROFILE_BLOCK = 24  # alpha rows per series or grid call: temporaries of 110 kB at most
+# the golden sections' width: at 1e-3 the valley of a fit of n = 244,695 is
+# too narrow in log beta to rank its basin first
+_PROFILE_TOL = 1e-4
+_PROFILE_STARTS = 3
 
-# two-stage multistart: a coarse pass over every start ranks the basins,
-# then the best coarse endpoint is polished to full precision; with a
-# coarse maxfev of 60 or 40, fits of tests/fit_pb_corpus.py miss the minimum
+# the Nelder-Mead pass from the profile's best local minima, before the polish
 _COARSE = dict(xatol=1e-3, fatol=1e-6, maxfev=100)
-# the best 8 unfinished coarse runs go on after 40 calls (Rinnooy Kan & Timmer 1987)
-_PRUNE = (40, 8)
 # the polish's central-difference stencil, line-search step scales, step
 # tolerance and iteration cap
 _H = 1e-4
@@ -137,10 +147,11 @@ def _pearson(counts: np.ndarray, expected: np.ndarray) -> np.ndarray:
 
 
 def _objective(hist: DigitHistogram, probs_of):
-    """The batched objective, (K, p) parameter points -> K chi-squares,
-    where probs_of maps the points to C-order (K, 9) pmfs (so a row's sum
-    does not depend on K): a non-finite chi-square (an underflowed or invalid
-    pmf) or a negative cell (rounding where a series is not valid) is 1e300."""
+    """The batched objective: parameter points -> the chi-squares of the
+    pmfs that probs_of maps them to, C-order (..., 9) arrays (so a row's sum
+    does not depend on the batch), one chi-square per row: a non-finite
+    chi-square (an underflowed or invalid pmf) or a negative cell (rounding
+    where a series is not valid) is 1e300."""
     n = hist.sample_size
     if n < 1:
         raise ValueError("histogram must have sample_size >= 1")
@@ -150,7 +161,7 @@ def _objective(hist: DigitHistogram, probs_of):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             expected = n * probs_of(x)
             v = _pearson(counts, expected)
-        return np.where(np.isfinite(v) & (expected >= 0).all(axis=1), v, 1e300)
+        return np.where(np.isfinite(v) & (expected >= 0).all(axis=-1), v, 1e300)
 
     return chi_squares
 
@@ -176,34 +187,113 @@ def fit_tspb(hist: DigitHistogram) -> FitResult:
     """
     objective = _objective(hist, _tspb_probs)
     edges = np.r_[_C_MIN, np.arange(_C_GRID_STEP, _C_MAX + 1e-12, _C_GRID_STEP)]
-    a, b = edges[:-1], edges[1:]
+    x, fx, nev = _golden_section(lambda c: objective(c[:, None]), edges[:-1], edges[1:],
+                                 _GOLDEN_TOL)
+    cs, vals = np.r_[edges, x], np.r_[objective(edges[:, None]), fx]
+    best = int(np.argmin(vals))
+    return FitResult._of(TSPB(c=float(cs[best])), float(vals[best]), converged=True,
+                         evaluations=len(edges) + nev)
+
+
+def _golden_section(f, a: np.ndarray, b: np.ndarray, tol: float) -> tuple:
+    """One golden section on every interval [a_k, b_k] at once, until each
+    is at most tol wide: each step calls f, (K,) -> (K,), on one point per
+    interval.  Returns each interval's best point and value, and the number
+    of points scored."""
     x1, x2 = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    f_edges, f1, f2 = np.split(objective(np.r_[edges, x1, x2][:, None]), [len(edges), -len(a)])
-    nev = len(edges) + 2 * len(a)
-    while np.any(b - a > _GOLDEN_TOL):
+    f1, f2 = f(x1), f(x2)
+    nev = 2 * len(a)
+    while np.any(b - a > tol):
         left = f1 <= f2  # the minimum lies in [a, x2], else in [x1, b]
         a, b = np.where(left, a, x1), np.where(left, x2, b)
         x = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
-        fx = objective(x[:, None])
+        fx = f(x)
         nev += len(x)
         x1, x2, f1, f2 = (np.where(left, x, x2), np.where(left, x1, x),
                           np.where(left, fx, f2), np.where(left, f1, fx))
-    cs, vals = np.r_[edges, np.where(f1 <= f2, x1, x2)], np.r_[f_edges, np.minimum(f1, f2)]
-    best = int(np.argmin(vals))
-    return FitResult._of(TSPB(c=float(cs[best])), float(vals[best]), converged=True,
-                         evaluations=nev)
+    return np.where(f1 <= f2, x1, x2), np.minimum(f1, f2), nev
 
 
-def _pb_params(lp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(K, 2) points in (log alpha, log beta) -> their K alphas and K betas,
-    capped: the one map, so a fit reports the law it scored."""
-    return (np.where(lp[:, 0] >= _LOG_ALPHA_CAP, _ALPHA_CAP, np.exp(lp[:, 0])),
-            np.exp(np.minimum(lp[:, 1], _LOG_BETA_CAP)))
+def _pb_params(la: np.ndarray, lb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log alphas and log betas -> their alphas and betas, capped: the one
+    map, so a fit reports the law it scored."""
+    return (np.where(la >= _LOG_ALPHA_CAP, _ALPHA_CAP, np.exp(la)),
+            np.exp(np.minimum(lb, _LOG_BETA_CAP)))
 
 
 def _pb_objective(hist: DigitHistogram, m: int):
     """fit_pb's objective, on (K, 2) points in (log alpha, log beta)."""
-    return _objective(hist, lambda lp: _pb_probs(*_pb_params(lp), m))
+    return _objective(hist, lambda lp: _pb_probs(*_pb_params(*lp.T), m))
+
+
+def _pb_profile(hist: DigitHistogram, m: int) -> tuple:
+    """Where fit_pb's search begins: (starts, limit, limit_fun, nev).
+
+    The series of the 120 alphas is evaluated once, _PROFILE_BLOCK at a
+    time.  The two ends in log beta are scored first; a point there that
+    scores 0 is the one start, as nothing scores lower.  Otherwise each
+    alpha row is scored on the log-beta grid, _PROFILE_BLOCK rows a call,
+    and its best beta refined by golden section (its best interior grid
+    minimum, if it has one); the limit beta -> infinity, the series
+    S(alpha) alone, is searched in log alpha in the same calls and gives
+    the point `limit` (shape (1, 2)) and its value `limit_fun`.  The
+    starts are the best _PROFILE_STARTS local minima of the profile over
+    log alpha, best first (ties to the smaller alpha), each in a basin of
+    its own.  nev counts every point scored.
+    """
+    alpha, beta = _pb_params(_PROFILE_LOG_ALPHAS, _PROFILE_LOG_BETAS)
+    series = np.concatenate([_series_differences(alpha[i:i + _PROFILE_BLOCK], m)
+                             for i in range(0, len(alpha), _PROFILE_BLOCK)])
+
+    def scored(a, b, s):  # PB(a, b) from the series s of a, all broadcast together
+        return _objective(hist, lambda b: _pb_mix(a, b, s))(b)
+
+    ends = scored(alpha[:, None], _pb_params(0.0, _PROFILE_ENDS)[1], series[:, None])
+    if ends.min() == 0:
+        i, k = np.unravel_index(ends.argmin(), ends.shape)
+        start = np.array([[_PROFILE_LOG_ALPHAS[i], _PROFILE_ENDS[k]]])
+        return start, np.empty((0, 2)), np.empty(0), ends.size
+    chi = np.concatenate([
+        scored(alpha[i:i + _PROFILE_BLOCK, None], beta, series[i:i + _PROFILE_BLOCK, None])
+        for i in range(0, len(alpha), _PROFILE_BLOCK)])
+    # one golden section on 121 intervals: each alpha row's log beta, and the
+    # limit's log alpha, between the grid neighbours of the best grid point;
+    # a row refines its best interior minimum, if it has one, rather than an
+    # edge, where the golden section cannot pass the grid and a narrow basin
+    # between two grid points may hide under the edge's value
+    padded = np.pad(chi, ((0, 0), (1, 1)), constant_values=-np.inf)
+    inner = np.where((chi <= padded[:, :-2]) & (chi <= padded[:, 2:]), chi, np.inf)
+    j = np.where(inner.min(axis=1) < np.inf, inner.argmin(axis=1), chi.argmin(axis=1))
+    lo, hi = _neighbours(_PROFILE_LOG_BETAS, j)
+    limit_lo, limit_hi = _neighbours(_PROFILE_LOG_ALPHAS, ends[:, 1].argmin(keepdims=True))
+
+    def probs(x):  # the rows' pmfs from their series, then the limit's
+        return np.r_[_pb_mix(alpha, _pb_params(_PROFILE_LOG_ALPHAS, x[:-1])[1], series),
+                     _pb_probs(*_pb_params(x[-1:], _LOG_BETA_CAP), m)]
+
+    x, fx, nev = _golden_section(_objective(hist, probs), np.r_[lo, limit_lo],
+                                 np.r_[hi, limit_hi], _PROFILE_TOL)
+    grid_best = chi.min(axis=1)
+    lb = np.where(fx[:-1] < grid_best, x[:-1], _PROFILE_LOG_BETAS[chi.argmin(axis=1)])
+    fb = np.minimum(fx[:-1], grid_best)
+    padded = np.r_[np.inf, fb, np.inf]
+    local = np.flatnonzero((fb <= padded[:-2]) & (fb <= padded[2:]))
+    best = []
+    for i in local[np.argsort(fb[local], kind="stable")]:
+        # a minimum is a start only if the profile rises by more than fatol
+        # between it and each better start: rounding alone makes minima on a
+        # flat stretch, such as the near-Benford plateau toward the alpha cap
+        if all(fb[min(i, k):max(i, k) + 1].max() > fb[i] + _COARSE["fatol"] for k in best):
+            best.append(i)
+            if len(best) == _PROFILE_STARTS:
+                break
+    return (np.c_[_PROFILE_LOG_ALPHAS[best], lb[best]], np.c_[x[-1:], [_LOG_BETA_CAP]],
+            fx[-1:], ends.size + chi.size + nev)
+
+
+def _neighbours(grid: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The grid points before and after each index i, or i itself at an end."""
+    return grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, len(grid) - 1)]
 
 
 def _simplex_run(x0, xatol: float, fatol: float, maxfev: int):
@@ -250,34 +340,22 @@ def _simplex_run(x0, xatol: float, fatol: float, maxfev: int):
                 nfev += 2
 
 
-def _nelder_mead(f, x0: np.ndarray, prune=None, **options) -> tuple[np.ndarray, ...]:
+def _nelder_mead(f, x0: np.ndarray, **options) -> tuple[np.ndarray, ...]:
     """_simplex_run from each row of x0 (S, 2), all in lockstep: each step
     calls f, (K, 2) -> (K,), once on the points every unfinished run waits
-    for.  With prune = (k, r), only the r unfinished runs with the lowest
-    value scored by call k go on (ties to the earlier start); the others stop
-    with their best point and value, the points they scored, success False."""
-    k, keep = prune or (0, len(x0))
-    scored = [[] for _ in x0]  # each run's (value, point) pairs through call k
+    for.  Returns the runs' (x, fun, nfev, success), one row per start."""
     results = [None] * len(x0)
     runs = [_simplex_run(x, **options) for x in x0]
-    live, call = [(i, run, run.send(None)) for i, run in enumerate(runs)], 0
+    live = [(i, run, run.send(None)) for i, run in enumerate(runs)]
     while live:
         values = f(np.array([p for _, _, points in live for p in points])).tolist()
-        asks, j, call = [], 0, call + 1
+        asks, j = [], 0
         for i, run, points in live:
             sent, j = values[j:j + len(points)], j + len(points)
-            if call <= k:
-                scored[i] += zip(sent, points)
             try:
                 asks.append((i, run, run.send(sent)))
             except StopIteration as done:
                 results[i] = done.value
-        if call == k:  # a stable sort: ties stay in start order
-            asks.sort(key=lambda ask: min(scored[ask[0]])[0])
-            for i, _, _ in asks[keep:]:
-                fun, x = min(scored[i], key=itemgetter(0))
-                results[i] = x, fun, len(scored[i]), False
-            del asks[keep:]
         live = asks
     return tuple(np.array(v) for v in zip(*results))
 
@@ -317,19 +395,21 @@ def _newton_polish(f, x: np.ndarray) -> tuple:
 def fit_pb(hist: DigitHistogram, m: int = 1000) -> FitResult:
     """Minimize the chi-square over PB's (alpha, beta) at truncation m.
 
-    Two stages in (log alpha, log beta) space: 17 starts (a 4x4 grid plus
-    a near-Benford corner), the best 8 kept after 40 calls, each a 2-D
-    Nelder-Mead with SciPy's steps, run a coarse pass of 100 evaluations in
-    lockstep; the best coarse endpoint (ties to the earliest start) is
-    polished by _newton_polish.
+    In (log alpha, log beta) space: _pb_profile gives the starts, a 2-D
+    Nelder-Mead with SciPy's steps runs 100 evaluations from each in
+    lockstep, and the best of their endpoints and of the limit
+    beta -> infinity (ties to the best start) is polished by _newton_polish.
     `converged` says the polish stopped on its step tolerance or found no
-    lower point, not at its iteration cap; `evaluations` counts the points
-    of both stages.
+    lower point, not at its iteration cap; `evaluations` counts every point
+    scored.
     """
     m = PB(1.0, 1.0, m).m  # the law's own check of m
     objective = _pb_objective(hist, m)
-    x, fun, nfev, _ = _nelder_mead(objective, np.array(_NM_STARTS), _PRUNE, **_COARSE)
+    starts, limit, limit_fun, nev = _pb_profile(hist, m)
+    x, fun, nfev, _ = _nelder_mead(objective, starts, **_COARSE)
+    # the limit, flat in log beta, goes to the polish with the Nelder-Mead ends
+    x, fun = np.r_[x, limit], np.r_[fun, limit_fun]
     px, pfun, pnfev, converged = _newton_polish(objective, x[int(np.argmin(fun))])
-    (alpha,), (beta,) = _pb_params(px[None])
+    alpha, beta = _pb_params(*px)
     return FitResult._of(PB(alpha=float(alpha), beta=float(beta), m=m), float(pfun),
-                         converged=converged, evaluations=int(nfev.sum()) + pnfev)
+                         converged=converged, evaluations=nev + int(nfev.sum()) + pnfev)

@@ -393,14 +393,16 @@ def _edge_counted_histogram(below, count: int) -> DigitHistogram:
 def _prime_histogram(bound: int) -> DigitHistogram:
     """The digit histogram of the primes below `bound`, from the odd sieve
     alone: digit d takes the odd primes in [d*10^k, min((d+1)*10^k, bound)),
-    sieve entries lo // 2 to hi // 2 for each k, and the prime 2 takes digit 2."""
-    sieve = _odd_sieve(max(bound, 2))
+    sieve entries lo // 2 to hi // 2 for each k, and the prime 2 takes digit 2.
+    The sieve holds only 0 and 1, so its nonzero entries count the primes."""
+    sieve = np.frombuffer(_odd_sieve(max(bound, 2)), np.uint8)
     counts = [0] * 9
     counts[1] = int(bound > 2)  # the prime 2
     power = 1
     while power < bound:
         for d in range(1, 10):
-            counts[d - 1] += sieve.count(1, d * power // 2, min((d + 1) * power, bound) // 2)
+            lo, hi = d * power // 2, min((d + 1) * power, bound) // 2
+            counts[d - 1] += int(np.count_nonzero(sieve[lo:hi]))
         power *= 10
     return DigitHistogram.from_counts(counts)
 

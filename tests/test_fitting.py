@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 import genbenford.fitting as fitting
-from genbenford.distributions import _tspb_probs
+from genbenford.distributions import _pb_mix, _series_differences, _tspb_probs
 from genbenford import (
     PB,
     TSPB,
@@ -238,6 +238,69 @@ class TestFitPb:
         assert r.chi_square == 0.0
         assert r.evaluations <= 1_700
 
+    @pytest.mark.parametrize("counts,m", [
+        # held-out corpus seed 13: the 17-start multistart stopped at 44.47
+        # (p = 6e-8) at alpha 1.53, beta 1.67; the minimum is 10.31 near
+        # alpha 19, beta 1.1
+        ([155946, 84821, 62000, 48440, 40591, 34373, 30328, 26630, 24274], 5000),
+        # a valley that falls toward beta -> infinity past log beta 44
+        ([32, 2, 1, 0, 0, 0, 0, 0, 0], 100),
+        # a basin of the limit beta -> infinity at log alpha 1.72, narrower
+        # than the profile's alpha spacing of 0.21: chi-square 5.336 there,
+        # 5.49 at the grid alphas beside it
+        ([17, 0, 2, 0, 0, 0, 0, 0, 0], 5000),
+        # held-out corpus seed 43: the profile's minima on the near-Benford
+        # plateau past log alpha 8 differ by rounding alone; taken as starts,
+        # they crowd out the basin at log alpha 0.50 (3.113 against 3.128)
+        ([16786, 1157, 591, 413, 312, 230, 190, 143, 135], 100),
+        # held-out corpus seed 41: near log alpha 0 the grid's best log beta
+        # is its edge, 12, while a basin near log beta 0.11, between two grid
+        # points, holds the minimum (19.900 against 19.946 toward the edge)
+        ([0, 6, 1, 0, 1, 0, 0, 0, 0], 100),
+    ])
+    def test_finds_the_basins_the_held_out_corpora_exposed(self, counts, m):
+        fit = fit_pb(DigitHistogram.from_counts(counts), m)
+        assert fit.chi_square <= pb_dense_grid_min(counts, m) + 1e-9
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "held-out corpus seed 29: the minimum, 11.806 at log alpha 0.90, log beta 2.37, "
+        "lies in a basin between the profile's alphas 0.78 and 0.99; the profile's best "
+        "minimum, at log alpha 1.19, leads the Nelder-Mead into another basin, 11.822 at "
+        "log alpha 1.16, log beta 1.87"))
+    def test_finds_a_basin_between_profile_alphas(self):
+        counts = [9, 0, 0, 2, 0, 0, 0, 2, 0]
+        fit = fit_pb(DigitHistogram.from_counts(counts), 5000)
+        assert fit.chi_square <= pb_dense_grid_min(counts, 5000) + 1e-9
+
+    def test_evaluations_count_every_point_scored(self, monkeypatch):
+        scored = []
+        objective = fitting._objective
+
+        def counting(hist, probs_of):
+            f = objective(hist, probs_of)
+
+            def counted(x):
+                values = f(x)
+                scored.append(values.size)
+                return values
+            return counted
+
+        monkeypatch.setattr(fitting, "_objective", counting)
+        assert fit_pb(MIXING, m=100).evaluations == sum(scored)
+
+    @pytest.mark.parametrize("m", [100, 5000])
+    def test_profile_scores_the_law_of_the_objective(self, m):
+        # the grid's chi-squares, mixed from one series evaluation per alpha,
+        # against fit_pb's own objective point by point
+        alpha, beta = fitting._pb_params(fitting._PROFILE_LOG_ALPHAS, fitting._PROFILE_LOG_BETAS)
+        series = _series_differences(alpha, m)
+        grid = fitting._objective(
+            MIXING, lambda b: _pb_mix(alpha[:, None], b, series[:, None]))(beta)
+        points = np.stack(np.meshgrid(fitting._PROFILE_LOG_ALPHAS, fitting._PROFILE_LOG_BETAS,
+                                      indexing="ij"), axis=-1).reshape(-1, 2)
+        reference = fitting._pb_objective(MIXING, m)(points).reshape(grid.shape)
+        np.testing.assert_allclose(grid, reference, rtol=1e-12, atol=0)
+
     def test_polish_iteration_cap_is_not_convergence(self, monkeypatch):
         monkeypatch.setattr(fitting, "_NEWTON_MAXITER", 1)
         assert fit_pb(MIXING, m=100).converged is False
@@ -271,22 +334,14 @@ class TestFitPb:
         assert fit_pb(h, m).chi_square <= pb_dense_grid_min(h.counts, m) + 1e-9
 
     def test_survey_evaluations_stay_in_budget(self, fits):
-        # a work counter, not a timing: the 19 survey fits score 21,239 points,
-        # so a wider start grid or a larger coarse budget fails here
-        assert sum(f["pb"].evaluations for f in fits.values()) <= 22_000
-
-    def test_pruning_moves_no_survey_fit(self, monkeypatch, rows, histograms, fits):
-        # the coarse stage without its prune finds the same law at every row
-        monkeypatch.setattr(fitting, "_PRUNE", None)
-        for key, row in rows.items():
-            pruned, unpruned = fits[key]["pb"], fit_pb(histograms[key], m=row.series_m)
-            assert ((pruned.model.alpha, pruned.model.beta, pruned.chi_square)
-                    == (unpruned.model.alpha, unpruned.model.beta, unpruned.chi_square)), key
-            assert pruned.evaluations < unpruned.evaluations, key
+        # a work counter, not a timing: the 19 survey fits score 200,870
+        # points, 150,480 of them on the profile's grid and its two ends, so a
+        # denser grid or a larger Nelder-Mead budget fails here
+        assert sum(f["pb"].evaluations for f in fits.values()) <= 205_000
 
     def test_survey_objective_calls_stay_in_budget(self, monkeypatch, rows, histograms):
         # a work counter, not a timing: a call costs a fixed overhead beyond
-        # its points, and the 19 survey fits make 1,964 calls
+        # its points, and the 19 survey fits make 1,472 calls
         calls = []
         objective = fitting._objective
 
@@ -301,7 +356,7 @@ class TestFitPb:
         monkeypatch.setattr(fitting, "_objective", counting)
         for key, row in rows.items():
             fit_pb(histograms[key], m=row.series_m)
-        assert len(calls) <= 2_300
+        assert len(calls) <= 1_550
 
 
 class TestFitResultSerialization:
@@ -335,29 +390,6 @@ def _assert_same_or_out_of_budget(lockstep, reference, maxfev):
             assert maxfev <= nfev[i] <= maxfev + x.shape[1] + 1, i
 
 
-def _logged_runs(monkeypatch):
-    """Wrap fitting._simplex_run so that each run logs the values it is sent,
-    one list per lockstep call it takes part in; returns the logs, one per
-    run in the order the runs were made."""
-    logs = []
-    simplex_run = fitting._simplex_run
-
-    def logged(x0, **options):
-        log, run = [], simplex_run(x0, **options)
-        logs.append(log)
-        points = run.send(None)
-        while True:
-            values = yield points
-            log.append(values)
-            try:
-                points = run.send(values)
-            except StopIteration as done:
-                return done.value
-
-    monkeypatch.setattr(fitting, "_simplex_run", logged)
-    return logs
-
-
 class TestLockstepNelderMead:
     """fit_pb's lockstep engine against scipy's Nelder-Mead run start by
     start: both see the same objective values, so a run that scipy stops
@@ -365,8 +397,13 @@ class TestLockstepNelderMead:
     past maxfev, partway through an iteration included; the engine checks
     the budget only between iterations, so a run that exhausts it must
     fail with at most n + 1 points past maxfev.  The Newton polish of each
-    of the best 3 coarse endpoints (fit_pb polishes only the first) is held
-    to scipy's polish from the same end."""
+    of the best 3 endpoints (fit_pb polishes only the first) is held to
+    scipy's polish from the same end.  The starts are a 4x4 grid in
+    (log alpha, log beta) and a near-Benford corner, spread over the basins
+    of the survey rows."""
+
+    STARTS = np.array([(la, lb) for la in (-1.0, 1.0, 4.0, 8.0) for lb in (-1.0, 1.0, 4.0, 8.0)]
+                      + [(math.log(1e6), 0.0)])
 
     @pytest.mark.parametrize("hist,m", [
         (_from_percentages("square"), 100),
@@ -378,7 +415,7 @@ class TestLockstepNelderMead:
     ])
     def test_pb_stages_match_scipy(self, hist, m):
         f = fitting._pb_objective(hist, m)
-        starts = np.array(fitting._NM_STARTS)
+        starts = self.STARTS
         coarse = fitting._nelder_mead(f, starts, **fitting._COARSE)
         _assert_same_or_out_of_budget(coarse, _scipy_runs(f, starts, fitting._COARSE),
                                       fitting._COARSE["maxfev"])
@@ -387,57 +424,6 @@ class TestLockstepNelderMead:
         # the Newton polish ends no higher than scipy's polish from each end
         for end, r in zip(ends, _scipy_runs(f, ends, _PB_POLISH)):
             assert fitting._newton_polish(f, end)[1] <= r.fun * (1 + 1e-12) + 1e-12
-
-    @pytest.mark.parametrize("hist,m", [
-        (_from_percentages("square"), 100),
-        (_from_percentages("mixing"), 100),
-        (_from_percentages("catalan"), 5000),
-        (DigitHistogram.from_counts([0, 0, 5, 0, 3, 0, 0, 1, 0]), 100),  # the 1e300 sentinel
-        (DigitHistogram.from_counts([1, 0, 0, 0, 0, 0, 0, 0, 0]), 100),
-        (CAP_VALLEY, 1000),
-    ])
-    def test_pruning_stops_the_worst_runs_and_keeps_the_rest(self, monkeypatch, hist, m):
-        # the runs still open after call k, ranked by the lowest value each
-        # was sent through call k (ties to the earlier start), from the logs
-        # of the unpruned engine: the best r go on exactly as unpruned, every
-        # other open run stops at call k with its best point and value
-        f = fitting._pb_objective(hist, m)
-        starts = np.array(fitting._NM_STARTS)
-        logs = _logged_runs(monkeypatch)
-        full = fitting._nelder_mead(f, starts, **fitting._COARSE)
-        pruned = fitting._nelder_mead(f, starts, fitting._PRUNE, **fitting._COARSE)
-        k, keep = fitting._PRUNE
-        logs, pruned_logs = logs[:len(starts)], logs[len(starts):]
-        best = [min(v for values in log[:k] for v in values) for log in logs]
-        ranked = sorted((i for i, log in enumerate(logs) if len(log) > k),
-                        key=lambda i: (best[i], i))
-        kept, cut = set(ranked[:keep]), ranked[keep:]
-        for i in range(len(starts)):
-            x, fun, nfev, success = (v[i].tolist() for v in pruned)
-            if i in cut:
-                assert len(pruned_logs[i]) == k, i
-                assert (fun, nfev, success) == (best[i], sum(map(len, logs[i][:k])), False), i
-                assert f(np.array([x]))[0] == fun, i
-            else:
-                assert (x, fun, nfev, success) == tuple(v[i].tolist() for v in full), i
-        assert len(kept) == keep and cut  # at each of these, 16 runs are open at call k
-        assert all(best[i] >= best[j] for i in cut for j in kept)
-
-    def test_pruning_ties_go_to_the_earlier_start(self):
-        # on a flat objective every simplex reflects, contracts and shrinks,
-        # 4 points in 3 calls, so at call 5 all six runs have scored 8 points
-        # of value 0: the first three go on, exactly as unpruned
-        def flat(p):
-            return np.zeros(len(p))
-
-        starts = np.array([[0.5 + i, 1.0] for i in range(6)])
-        options = dict(xatol=1e-12, fatol=1.0, maxfev=1000)
-        full = fitting._nelder_mead(flat, starts, **options)
-        x, fun, nfev, success = fitting._nelder_mead(flat, starts, (5, 3), **options)
-        assert all(full[3][:3]) and fun.tolist() == [0.0] * 6
-        assert (x[:3].tolist(), nfev[:3].tolist()) == (full[0][:3].tolist(), full[2][:3].tolist())
-        assert nfev[3:].tolist() == [8] * 3 and not any(success[3:])
-        assert x[3:].tolist() == starts[3:].tolist()  # the first point of each run
 
     def test_non_finite_chi_square_is_the_sentinel(self):
         f = fitting._pb_objective(DigitHistogram.from_counts([0, 0, 5, 0, 3, 0, 0, 1, 0]), 100)
