@@ -70,7 +70,8 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # fit_pb's profile over log alpha: the series of 120 alphas from e^-4 to the
 # cap, each row scored at every log beta of a grid, then refined in beta.  A
 # log-beta step of 0.32 keeps the basins of tiny histograms that a step of
-# 0.79 misses; the basins past log beta 12 are those of the limit below
+# 0.79 misses; the corpora's basins past log beta 12 are those of the limit
+# beta -> infinity, searched on its own
 _PROFILE_LOG_ALPHAS = np.linspace(-4.0, _LOG_ALPHA_CAP, 120)
 _PROFILE_LOG_BETAS = np.linspace(-8.0, 12.0, 64)
 # the two ends in log beta: beta -> 0, where the law tends to all its mass on
