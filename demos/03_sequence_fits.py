@@ -2,8 +2,8 @@
 
 For each surveyed sequence the package minimizes the Pearson chi-square
 over the law's parameters (a golden-section search on every cell of a c-grid for
-TSPB's c; a profile over log alpha, then Nelder-Mead from its best minima
-and Newton steps, for PB's alpha, beta).
+TSPB's c; a profile over log alpha, then a Newton polish from each start,
+for PB's alpha, beta).
 Degrees of freedom are 8/7/6 for Benford/TSPB/PB.  The striking case is
 the primes: hopeless under Benford, but beautifully fit by PB - until the
 sequence gets long.

@@ -14,12 +14,10 @@ profile over log alpha (the profile chi-square of Venzon & Moolgavkar
 each alpha's chi-square is minimized over log beta by a grid and a golden
 section that need no further series evaluation; the limit beta -> infinity,
 the series alone, is searched in log alpha in the same golden-section
-calls.  A 2-D Nelder-Mead with SciPy's steps runs 100 evaluations from
-each of the best 3 local minima of the profile, in lockstep, one objective
-call per step, each run checking its budget only between iterations (so
-it may pass it by up to 3 points).  The best of their endpoints and the
-limit is polished by projected Newton steps (Bertsekas 1982), two calls
-per iteration.
+calls.  Then a Newton polish from each start: projected Newton steps
+(Bertsekas 1982), two calls per iteration, run from each of the best 3
+local minima of the profile and from the limit, and the lowest end is the
+fit.
 tests/fit_pb_corpus.py and its dense-grid oracle judge the result: on 657
 fixed-seed histograms no fit is worse than a dense-grid search by more
 than 1e-9.  alpha is capped at exactly 1e9 (the chi-square surface goes
@@ -30,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -82,9 +79,9 @@ _PROFILE_BLOCK = 24  # alpha rows per series or grid call: temporaries of 110 kB
 # too narrow in log beta to rank its basin first
 _PROFILE_TOL = 1e-4
 _PROFILE_STARTS = 3
+# the least rise of the profile between two of its starts
+_PROFILE_RISE = 1e-6
 
-# the Nelder-Mead pass from the profile's best local minima, before the polish
-_COARSE = dict(xatol=1e-3, fatol=1e-6, maxfev=100)
 # the polish's central-difference stencil, line-search step scales, step
 # tolerance and iteration cap
 _H = 1e-4
@@ -92,11 +89,6 @@ _STENCIL = _H * np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])
 _STEP_SCALES = 0.5 ** np.arange(12)
 _STEP_TOL = 1e-8
 _NEWTON_MAXITER = 50
-
-# Nelder-Mead's initial simplex steps (relative on nonzero coordinates,
-# absolute on zero ones), as in SciPy; its coefficients (reflection 1,
-# expansion 2, contraction and shrink 0.5) are written out in _simplex_run
-_NONZDELT, _ZDELT = 0.05, 0.00025
 
 
 @dataclass(frozen=True)
@@ -228,7 +220,7 @@ def _pb_objective(hist: DigitHistogram, m: int):
 
 
 def _pb_profile(hist: DigitHistogram, m: int) -> tuple:
-    """Where fit_pb's search begins: (starts, limit, limit_fun, nev).
+    """Where fit_pb's search begins: (starts, nev).
 
     The series of the 120 alphas is evaluated once, _PROFILE_BLOCK at a
     time.  The two ends in log beta are scored first; a point there that
@@ -236,11 +228,10 @@ def _pb_profile(hist: DigitHistogram, m: int) -> tuple:
     alpha row is scored on the log-beta grid, _PROFILE_BLOCK rows a call,
     and its best beta refined by golden section (its best interior grid
     minimum, if it has one); the limit beta -> infinity, the series
-    S(alpha) alone, is searched in log alpha in the same calls and gives
-    the point `limit` (shape (1, 2)) and its value `limit_fun`.  The
-    starts are the best _PROFILE_STARTS local minima of the profile over
-    log alpha, best first (ties to the smaller alpha), each in a basin of
-    its own.  nev counts every point scored.
+    S(alpha) alone, is searched in log alpha in the same calls.  The
+    starts (S, 2) are the best _PROFILE_STARTS local minima of the profile
+    over log alpha, best first (ties to the smaller alpha), each in a basin
+    of its own, then the limit's point.  nev counts every point scored.
     """
     alpha, beta = _pb_params(_PROFILE_LOG_ALPHAS, _PROFILE_LOG_BETAS)
     series = np.concatenate([_series_differences(alpha[i:i + _PROFILE_BLOCK], m)
@@ -253,7 +244,7 @@ def _pb_profile(hist: DigitHistogram, m: int) -> tuple:
     if ends.min() == 0:
         i, k = np.unravel_index(ends.argmin(), ends.shape)
         start = np.array([[_PROFILE_LOG_ALPHAS[i], _PROFILE_ENDS[k]]])
-        return start, np.empty((0, 2)), np.empty(0), ends.size
+        return start, ends.size
     chi = np.concatenate([
         scored(alpha[i:i + _PROFILE_BLOCK, None], beta, series[i:i + _PROFILE_BLOCK, None])
         for i in range(0, len(alpha), _PROFILE_BLOCK)])
@@ -281,84 +272,21 @@ def _pb_profile(hist: DigitHistogram, m: int) -> tuple:
     local = np.flatnonzero((fb <= padded[:-2]) & (fb <= padded[2:]))
     best = []
     for i in local[np.argsort(fb[local], kind="stable")]:
-        # a minimum is a start only if the profile rises by more than fatol
-        # between it and each better start: rounding alone makes minima on a
-        # flat stretch, such as the near-Benford plateau toward the alpha cap
-        if all(fb[min(i, k):max(i, k) + 1].max() > fb[i] + _COARSE["fatol"] for k in best):
+        # a minimum is a start only if the profile rises by more than
+        # _PROFILE_RISE between it and each better start: rounding alone
+        # makes minima on a flat stretch, such as the near-Benford plateau
+        # toward the alpha cap
+        if all(fb[min(i, k):max(i, k) + 1].max() > fb[i] + _PROFILE_RISE for k in best):
             best.append(i)
             if len(best) == _PROFILE_STARTS:
                 break
-    return (np.c_[_PROFILE_LOG_ALPHAS[best], lb[best]], np.c_[x[-1:], [_LOG_BETA_CAP]],
-            fx[-1:], ends.size + chi.size + nev)
+    return (np.r_[np.c_[_PROFILE_LOG_ALPHAS[best], lb[best]], [[x[-1], _LOG_BETA_CAP]]],
+            ends.size + chi.size + nev)
 
 
 def _neighbours(grid: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The grid points before and after each index i, or i itself at an end."""
     return grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, len(grid) - 1)]
-
-
-def _simplex_run(x0, xatol: float, fatol: float, maxfev: int):
-    """One 2-D Nelder-Mead run as a generator that yields the points it
-    needs evaluated next, is sent their values, and returns (x, fun, nfev,
-    success).  SciPy's steps in its float operations, its stable vertex
-    order and stopping test, the budget before the tolerances; the budget is
-    checked only before an iteration, so a run may end 3 points past it."""
-    x, y = float(x0[0]), float(x0[1])
-    points = [(x, y), ((1 + _NONZDELT) * x if x != 0 else _ZDELT, y),
-              (x, (1 + _NONZDELT) * y if y != 0 else _ZDELT)]
-    sim = list(zip((yield points), points))  # (value, vertex) pairs
-    nfev = 3
-    while True:
-        sim.sort(key=itemgetter(0))  # stable, as numpy's argsort of a few values
-        (fb, (bx, by)), (fm, (mx, my)), (fw, (wx, wy)) = sim
-        if nfev >= maxfev or (abs(mx - bx) <= xatol and abs(my - by) <= xatol
-                              and abs(wx - bx) <= xatol and abs(wy - by) <= xatol
-                              and abs(fb - fm) <= fatol and abs(fb - fw) <= fatol):
-            return (bx, by), fb, nfev, nfev < maxfev
-        cx, cy = (bx + mx) / 2, (by + my) / 2
-        xr = (2 * cx - wx, 2 * cy - wy)  # reflect
-        (fxr,) = yield [xr]
-        nfev += 1
-        if fxr < fb:
-            xe = (3 * cx - 2 * wx, 3 * cy - 2 * wy)  # expand
-            (fxe,) = yield [xe]
-            nfev += 1
-            sim[2] = (fxe, xe) if fxe < fxr else (fxr, xr)
-        elif fxr < fm:
-            sim[2] = (fxr, xr)
-        else:  # contract, outside the simplex or inside it
-            outside = fxr < fw
-            xc = ((1.5 * cx - 0.5 * wx, 1.5 * cy - 0.5 * wy) if outside
-                  else (0.5 * cx + 0.5 * wx, 0.5 * cy + 0.5 * wy))
-            (fxc,) = yield [xc]
-            nfev += 1
-            if fxc <= fxr if outside else fxc < fw:
-                sim[2] = (fxc, xc)
-            else:  # shrink toward the best vertex
-                points = [(bx + 0.5 * (mx - bx), by + 0.5 * (my - by)),
-                          (bx + 0.5 * (wx - bx), by + 0.5 * (wy - by))]
-                sim[1:] = zip((yield points), points)
-                nfev += 2
-
-
-def _nelder_mead(f, x0: np.ndarray, **options) -> tuple[np.ndarray, ...]:
-    """_simplex_run from each row of x0 (S, 2), all in lockstep: each step
-    calls f, (K, 2) -> (K,), once on the points every unfinished run waits
-    for.  Returns the runs' (x, fun, nfev, success), one row per start."""
-    results = [None] * len(x0)
-    runs = [_simplex_run(x, **options) for x in x0]
-    live = [(i, run, run.send(None)) for i, run in enumerate(runs)]
-    while live:
-        values = f(np.array([p for _, _, points in live for p in points])).tolist()
-        asks, j = [], 0
-        for i, run, points in live:
-            sent, j = values[j:j + len(points)], j + len(points)
-            try:
-                asks.append((i, run, run.send(sent)))
-            except StopIteration as done:
-                results[i] = done.value
-        live = asks
-    return tuple(np.array(v) for v in zip(*results))
 
 
 def _newton_polish(f, x: np.ndarray) -> tuple:
@@ -396,21 +324,17 @@ def _newton_polish(f, x: np.ndarray) -> tuple:
 def fit_pb(hist: DigitHistogram, m: int = 1000) -> FitResult:
     """Minimize the chi-square over PB's (alpha, beta) at truncation m.
 
-    In (log alpha, log beta) space: _pb_profile gives the starts, a 2-D
-    Nelder-Mead with SciPy's steps runs 100 evaluations from each in
-    lockstep, and the best of their endpoints and of the limit
-    beta -> infinity (ties to the best start) is polished by _newton_polish.
-    `converged` says the polish stopped on its step tolerance or found no
-    lower point, not at its iteration cap; `evaluations` counts every point
-    scored.
+    In (log alpha, log beta) space: the profile (_pb_profile), then a
+    Newton polish (_newton_polish) from each start; the lowest end is the
+    fit, ties to the earlier start.  `converged` says that polish
+    stopped on its step tolerance or found no lower point, not at its
+    iteration cap; `evaluations` counts every point scored.
     """
     m = PB(1.0, 1.0, m).m  # the law's own check of m
     objective = _pb_objective(hist, m)
-    starts, limit, limit_fun, nev = _pb_profile(hist, m)
-    x, fun, nfev, _ = _nelder_mead(objective, starts, **_COARSE)
-    # the limit, flat in log beta, goes to the polish with the Nelder-Mead ends
-    x, fun = np.r_[x, limit], np.r_[fun, limit_fun]
-    px, pfun, pnfev, converged = _newton_polish(objective, x[int(np.argmin(fun))])
-    alpha, beta = _pb_params(*px)
-    return FitResult._of(PB(alpha=float(alpha), beta=float(beta), m=m), float(pfun),
-                         converged=converged, evaluations=nev + int(nfev.sum()) + pnfev)
+    starts, nev = _pb_profile(hist, m)
+    polished = [_newton_polish(objective, x) for x in starts]
+    x, fun, _, converged = min(polished, key=lambda p: p[1])  # the first of equals
+    alpha, beta = _pb_params(*x)
+    return FitResult._of(PB(alpha=float(alpha), beta=float(beta), m=m), float(fun),
+                         converged=converged, evaluations=nev + sum(p[2] for p in polished))

@@ -11,13 +11,13 @@ pmfs with n from 25 to 1e6, then 300 histograms of n <= 40 with emptied
 cells; each draw's m cycles through 100, 1000 and 5000.  The draws come
 from seed 20240811; `--seed N` draws a held-out corpus from seed N
 instead, to judge a change of the fitter on histograms it was not tuned
-on (CI runs seeds 7, 11 and 13 too).  It prints each failing fit and the
-count of each failure, then the fit_pb evaluations by stage (the
-profile's grid and golden sections, the Nelder-Mead, the Newton polish)
-and the objective calls: a call costs a fixed overhead beyond its points,
-so a cut in points can be told apart from a cut in steps.  pytest does
-not collect this file: a run takes about 35 s on a 2-CPU x86-64 host,
-most of it in the oracle.
+on (CI runs seeds 7, 11, 13 and 17 too).  It prints each failing fit and
+the count of each failure, then the fit_pb evaluations by stage (the
+profile's grid and golden sections, the Newton polishes), the polishes
+per fit and the objective calls: a call costs a fixed overhead beyond its
+points, so a cut in points can be told apart from a cut in steps.  pytest
+does not collect this file: a run takes about 35 s on a 2-CPU x86-64
+host, most of it in the oracle.
 """
 import argparse
 import sys
@@ -74,30 +74,23 @@ def corpus(seed=SEED):
 
 
 def _fit_pb_counting(hist, m):
-    """fit_pb(hist, m), its objective calls, and the points its Nelder-Mead
-    and its polish scored."""
-    calls, points = [], {"nelder_mead": 0, "polish": 0}
-    saved = {name: getattr(fitting, name) for name in ("_objective", "_nelder_mead",
-                                                       "_newton_polish")}
+    """fit_pb(hist, m), its objective calls, and its polishes and the
+    points they scored."""
+    calls, polishes = [], []
+    saved = {name: getattr(fitting, name) for name in ("_objective", "_newton_polish")}
 
     def counting(hist, probs_of):
         f = saved["_objective"](hist, probs_of)
         return lambda x: calls.append(None) or f(x)
 
-    def nelder_mead(f, x0, **options):
-        result = saved["_nelder_mead"](f, x0, **options)
-        points["nelder_mead"] += int(result[2].sum())
-        return result
-
     def newton_polish(f, x):
         result = saved["_newton_polish"](f, x)
-        points["polish"] += result[2]
+        polishes.append(result[2])
         return result
 
-    fitting._objective, fitting._nelder_mead = counting, nelder_mead
-    fitting._newton_polish = newton_polish
+    fitting._objective, fitting._newton_polish = counting, newton_polish
     try:
-        return fit_pb(hist, m=m), len(calls), points
+        return fit_pb(hist, m=m), len(calls), polishes
     finally:
         for name, f in saved.items():
             setattr(fitting, name, f)
@@ -109,19 +102,18 @@ def main() -> int:
                         help=f"the seed of the drawn histograms (default {SEED})")
     seed = parser.parse_args().seed
     start = time.perf_counter()
-    fits = worse = inexact = evaluations = calls = 0
-    stages = {"nelder_mead": 0, "polish": 0}
+    fits = worse = inexact = evaluations = calls = polishes = polish_points = 0
     largest = -np.inf
     for label, counts, m in corpus(seed):
         hist = DigitHistogram.from_counts(counts)
-        fit, fit_calls, points = _fit_pb_counting(hist, m)
+        fit, fit_calls, fit_polishes = _fit_pb_counting(hist, m)
         oracle = pb_dense_grid_min(counts, m)
         excess = fit.chi_square - oracle
         fits += 1
         evaluations += fit.evaluations
         calls += fit_calls
-        for stage, n in points.items():
-            stages[stage] += n
+        polishes += len(fit_polishes)
+        polish_points += sum(fit_polishes)
         largest = max(largest, excess)
         if excess > TOLERANCE:
             worse += 1
@@ -135,10 +127,9 @@ def main() -> int:
     print(f"{fits} histograms, {worse} fits worse than the oracle by more than "
           f"{TOLERANCE:g} (largest excess {largest:.3g}), {inexact} fits whose "
           "chi-square is not that of the law they report")
-    profile = evaluations - stages["nelder_mead"] - stages["polish"]
     print(f"fit_pb evaluations: {evaluations} (profile grid and golden sections "
-          f"{profile}, Nelder-Mead {stages['nelder_mead']}, polish {stages['polish']}), "
-          f"objective calls: {calls}")
+          f"{evaluations - polish_points}, polishes {polish_points}), "
+          f"{polishes / fits:.2f} polishes per fit, objective calls: {calls}")
     print(f"time: {time.perf_counter() - start:.1f} s")
     return 1 if worse or inexact else 0
 

@@ -16,8 +16,8 @@ the digit of a log10 fraction by binary search over the digit bounds
 instead of a table of 1,024 cells,
 the 1-D fit check from a dense parameter grid instead of a golden section
 on every grid cell, the PB fit check from a dense grid of directly summed
-series and SciPy's Nelder-Mead instead of a lockstep multistart, and the PB
-series from the Hurwitz zeta function in mpmath
+series and SciPy's Nelder-Mead instead of a profile and Newton polishes,
+and the PB series from the Hurwitz zeta function in mpmath
 instead of Euler-Maclaurin summation in float64.
 """
 import functools
@@ -264,7 +264,7 @@ def pb_dense_grid_min(counts, m):
     [-6, 10] is scored from directly summed series, then SciPy's
     Nelder-Mead, with the options _PB_POLISH and on fit_pb's own
     objective, runs from the 20 best grid-local minima (each no worse
-    than its 8 neighbours).  Oracle for fit_pb's multistart; m <= 10**4."""
+    than its 8 neighbours).  Oracle for fit_pb's search; m <= 10**4."""
     if not 1 <= m <= 10 ** 4:
         raise ValueError(f"direct sums need 1 <= m <= 10**4, got {m}")
     objective = _pb_objective(DigitHistogram.from_counts(counts), m)

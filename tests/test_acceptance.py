@@ -260,7 +260,7 @@ def test_criterion_4_large_prime_rejection(large_prime_fit):
 
 @pytest.mark.xfail(strict=True,
                    reason="the published minimum (1391) is not a true minimum: "
-                          "the deterministic multistart simplex reaches 193, "
+                          "the deterministic fit reaches 193, "
                           "which still rejects at p ~ 6e-39")
 def test_criterion_4_chi_square_exceeds_500_as_stated(large_prime_fit):
     _, fit, _ = large_prime_fit

@@ -568,7 +568,7 @@ class TestExactFormat:
         (("--model", "pb", "--m", "100"),
          "source: counts\nmodel: pb\nalpha: 4.78641\nbeta: 1.83119\nm: 100\n"
          "chi_square: 1.81929\ndf: 6\np_value: 93.55%\nconverged: True\n"
-         "evaluations: 10540\n"),
+         "evaluations: 10593\n"),
     ])
     def test_fit_markdown(self, capsys, argv, expected):
         code, out, err = run(capsys, "fit", "--counts", MIXING_COUNTS, *argv)
