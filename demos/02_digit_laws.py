@@ -12,7 +12,6 @@ from genbenford import (
     TSPB,
     Benford,
     adaptive_truncation,
-    pb_truncation_deficit,
     pmf_vector,
     tspb_vector,
 )
@@ -36,8 +35,8 @@ print()
 print("Truncating the PB series costs a closed-form amount of mass:")
 alpha, beta = 2.0, 1.0
 for m in (10, 100, 1000):
-    total = pmf_vector(PB(alpha=alpha, beta=beta, m=m)).sum()
-    deficit = pb_truncation_deficit(alpha, beta, m)
+    law = PB(alpha=alpha, beta=beta, m=m)
+    total, deficit = pmf_vector(law).sum(), law.deficit()
     print(f"  m = {m:>5d}: sum of pmf = {total:.12f}, "
           f"deficit = {deficit:.3e}, sum + deficit = {total + deficit:.12f}")
 
@@ -48,4 +47,4 @@ print()
 for alpha, beta in ((2.0, 1.0), (1.0, 1.0), (0.7, 1.7)):
     m = adaptive_truncation(alpha, beta)
     print(f"  adaptive m for alpha={alpha}, beta={beta}: m = {m:,} "
-          f"(deficit {pb_truncation_deficit(alpha, beta, m):.2e})")
+          f"(deficit {PB(alpha, beta, m).deficit():.2e})")

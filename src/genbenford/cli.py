@@ -5,6 +5,10 @@ histogram), tables (reproduce the bundled survey and its fit statistics),
 verify (Monte Carlo check of a digit law against its sampler), seq
 (export a generated sequence).
 
+No command names a law: --model picks the law class of that tag, which
+fitting.fit fits and whose dataclass fields name the flags of pmf and
+verify; --m sets its field m, and a law without one ignores --m.
+
 Every table goes through one printer, _emit: CSV cells through str(), at
 a float's full precision, markdown cells as the caller rounded them.  A fit
 is printed from its one record, FitResult.to_json_dict().
@@ -21,27 +25,20 @@ import sys
 from dataclasses import asdict, fields, replace
 
 from .digits import DigitHistogram, _first_digits, histogram
-from .distributions import (
-    _LAWS,
-    PB,
-    Benford,
-    adaptive_truncation,
-    model_to_dict,
-    pmf_vector,
-)
-from .fitting import FitResult, chi_square_stat, fit_pb, fit_tspb
+from .distributions import _LAWS, PB, adaptive_truncation, model_to_dict
+from .fitting import fit
 from .reference import SurveyRow, load_survey
 from .sequences import SequenceSpec, digit_histogram_of, format_values, generate, read_values
-from .sampling import verification_report
+from .sampling import _Z_LIMIT, verification_report
 
 
 class UsageError(Exception):
     pass
 
 
-# the flags of the laws' parameters other than m, read by pmf and verify
-_PARAM_FLAGS = {"c": "TSPB shape parameter", "alpha": "PB tail exponent",
-                "beta": "PB lower exponent"}
+def _param_fields():
+    """The laws' parameters but m, each once by name: the flags of pmf and verify."""
+    return {f.name: f for law in _LAWS.values() for f in fields(law) if f.name != "m"}
 
 
 def _required(name, value):
@@ -72,9 +69,11 @@ def _m_flag(text):
     return _law(PB, alpha=1.0, beta=1.0, m=m).m
 
 
-def _resolve_m(mflag, survey_m=None):
-    """A checked --m other than 'adaptive' (which needs a law) as an
-    integer: 'survey' is the bundled value for a surveyed sequence."""
+def _resolve_m(law, mflag, survey_m=None):
+    """A checked --m as the law takes it: 'survey' is the bundled value for a
+    surveyed sequence, 'adaptive' stays; a law without m ignores --m."""
+    if "m" not in {f.name for f in fields(law)}:
+        return mflag
     if mflag == "survey" and survey_m is None:
         raise UsageError("--m survey only applies when fitting a surveyed sequence via --seq")
     return survey_m if mflag == "survey" else mflag
@@ -83,33 +82,16 @@ def _resolve_m(mflag, survey_m=None):
 def _build_model(args):
     law = _LAWS[args.model]
     own = {f.name for f in fields(law)}
-    for name in _PARAM_FLAGS:
+    for name in _param_fields():
         if name not in own and getattr(args, name) is not None:
             raise UsageError(f"--{name} does not apply to --model {args.model}")
     model = _law(law, **{f.name: _required(f.name, getattr(args, f.name))
                          for f in fields(law) if f.name != "m"})
-    mflag = _m_flag(args.m)  # after the law's own fields, as PB checks m last
+    mflag = _resolve_m(law, _m_flag(args.m))  # after the law's own fields, as PB checks m last
     if "m" in own:  # a truncated law
-        m = (adaptive_truncation(model.alpha, model.beta) if mflag == "adaptive"
-             else _resolve_m(mflag))
-        model = replace(model, m=m)
+        model = replace(model, m=adaptive_truncation(model.alpha, model.beta)
+                        if mflag == "adaptive" else mflag)
     return model
-
-
-def _fit(hist, tag, mflag, survey_m=None) -> FitResult:
-    """Fit the law named `tag`; PB at the truncation --m names.  'adaptive'
-    takes the adaptive truncation of a pilot fit at m = 1000 and refits
-    only above 1000."""
-    if tag == "benford":
-        return FitResult._of(Benford(), chi_square_stat(hist, Benford().pmf()),
-                             converged=True, evaluations=1)
-    if tag == "tspb":
-        return fit_tspb(hist)
-    if mflag != "adaptive":
-        return fit_pb(hist, m=_resolve_m(mflag, survey_m))
-    pilot = fit_pb(hist, m=1000)
-    m = adaptive_truncation(pilot.model.alpha, pilot.model.beta)
-    return fit_pb(hist, m=m) if m > 1000 else pilot
 
 
 def _sequence_spec(kind, param) -> SequenceSpec:
@@ -135,7 +117,7 @@ def _emit(header, rows, fmt):
 
 def cmd_pmf(args) -> int:
     model = _build_model(args)
-    probs = pmf_vector(model).tolist()
+    probs = model.pmf().tolist()
     deficit = model.deficit()
     if args.format == "json":
         obj = {"model": model_to_dict(model), "probabilities": probs}
@@ -185,7 +167,8 @@ def cmd_fit(args) -> int:
     if hist.sample_size < 1:
         flag = next(f for f in ("counts", "file", "seq") if getattr(args, f) is not None)
         raise UsageError(f"histogram is empty: --{flag} gives no values")
-    rec = _fit(hist, args.model, _m_flag(args.m), survey_m).to_json_dict()
+    law = _LAWS[args.model]
+    rec = fit(hist, law, _resolve_m(law, _m_flag(args.m), survey_m)).to_json_dict()
     if args.format == "json":
         print(json.dumps({**rec, "source": label}))
         return 0
@@ -268,8 +251,8 @@ def _digit_cells(hist) -> list:
 def _fit_cells(hist, series_m, m) -> list:
     """Each law's parameters, chi-square and p-value."""
     cells = []
-    for tag in _LAWS:
-        r = _fit(hist, tag, m, series_m)
+    for law in _LAWS.values():
+        r = fit(hist, law, _resolve_m(law, m, series_m))
         cells += [*asdict(r.model).values(), r.chi_square, r.p_value]
     return cells
 
@@ -295,7 +278,7 @@ def cmd_verify(args) -> int:
         print(f"\nchi_square: {report.chi_square:.4f}")
         print(f"max |z|: {report.max_abs_z:.3f}")
     ok = report.passed()
-    print(f"verdict: {'pass' if ok else 'FAIL'} (threshold: all |z| < 4)")
+    print(f"verdict: {'pass' if ok else 'FAIL'} (threshold: all |z| < {_Z_LIMIT:g})")
     return 0 if ok else 1
 
 
@@ -320,8 +303,8 @@ def cmd_seq(args) -> int:
 
 def _add_model_flags(p, params: bool):
     p.add_argument("--model", required=True, choices=list(_LAWS))
-    for name, text in _PARAM_FLAGS.items() if params else ():
-        p.add_argument(f"--{name}", type=float, help=text)
+    for name, f in _param_fields().items() if params else ():
+        p.add_argument(f"--{name}", type=float, help=f.metadata["help"])
     p.add_argument("--m", default="1000",
                    help="PB series truncation: an integer, 'adaptive', or "
                         "'survey' (pin to the surveyed value)")

@@ -177,6 +177,7 @@ class DigitHistogram:
     def sample_size(self) -> int:
         return sum(self.counts)
 
+    # kept for bench/workloads.py, which builds its histograms with it
     @classmethod
     def from_counts(cls, counts: Sequence[int]) -> "DigitHistogram":
         return cls(counts)
@@ -194,7 +195,7 @@ class DigitHistogram:
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != 9:
             raise ValueError(f"expected 9 comma-separated counts, got {len(fields)}")
-        return cls.from_counts([int(f) for f in fields])
+        return cls([int(f) for f in fields])
 
 
 def histogram(digits) -> DigitHistogram:
@@ -208,8 +209,7 @@ def histogram(digits) -> DigitHistogram:
         bad = next(v for v in values if np.asarray(v).dtype.kind not in "biuf"
                    or not 1 <= v <= 9 or v != int(v))
         raise ValueError(f"digit out of range 1..9: {bad!r}")
-    return DigitHistogram.from_counts(np.bincount(d.astype(np.intp, copy=False),
-                                                  minlength=10)[1:])
+    return DigitHistogram(np.bincount(d.astype(np.intp, copy=False), minlength=10)[1:])
 
 
 def _fraction_histogram(chunks) -> DigitHistogram:
@@ -225,7 +225,7 @@ def _fraction_histogram(chunks) -> DigitHistogram:
         counts += np.bincount(_digits_from_log10_fractions(frac[_RULE_CELL[cell]]),
                               minlength=10)
     np.add.at(counts, _PLAIN_CELL_DIGIT, cells)  # the rule cells land on 0
-    return DigitHistogram.from_counts(counts[1:])
+    return DigitHistogram(counts[1:])
 
 
 def histogram_from_percentages(pct: Sequence[float], n: int) -> DigitHistogram:
@@ -275,4 +275,4 @@ def histogram_from_percentages(pct: Sequence[float], n: int) -> DigitHistogram:
         counts[i] += step
         if counts[i] < 0:
             raise ValueError("percentages are inconsistent with n")
-    return DigitHistogram.from_counts(counts)
+    return DigitHistogram(counts)

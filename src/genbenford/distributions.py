@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import ClassVar, Union, get_args
 
@@ -50,7 +50,6 @@ __all__ = [
     "pmf_vector",
     "tspb_vector",
     "pb_vector",
-    "pb_truncation_deficit",
     "adaptive_truncation",
     "chi_square_sf",
     "model_to_dict",
@@ -104,7 +103,7 @@ class Benford:
 class TSPB:
     """Two-sided power Benford law with shape c > 0."""
 
-    c: float
+    c: float = field(metadata={"help": "TSPB shape parameter"})
 
     tag: ClassVar[str] = "tspb"
     n_params: ClassVar[int] = 1
@@ -133,8 +132,8 @@ class PB:
     """Pareto Benford law with tail exponent alpha > 0, lower exponent
     beta > 0, and series truncation index 1 <= m < 2**1024."""
 
-    alpha: float
-    beta: float
+    alpha: float = field(metadata={"help": "PB tail exponent"})
+    beta: float = field(metadata={"help": "PB lower exponent"})
     m: int = 1000
 
     tag: ClassVar[str] = "pb"
@@ -196,6 +195,7 @@ def _tspb_probs(c) -> np.ndarray:
     return 0.5 * (p[..., 1:] - p[..., :9] - q[..., 1:] + q[..., :9])
 
 
+# kept for bench/spans.py, which times it by name
 def tspb_vector(c: float) -> np.ndarray:
     return TSPB(c).pmf()
 
@@ -264,8 +264,6 @@ def _series_differences(alpha, m: int) -> np.ndarray:
     rows, d = z[..., 0, :, :], z[..., 1, :, :]  # in place, to keep a batch small
     np.exp(rows, out=rows)
     rows *= np.expm1(d, out=d)  # (t + x_{d+1})^-e - (t + x_d)^-e
-    if m <= _HEAD:
-        return weights[0] @ rows
     return ((np.power.outer(alpha - 1, _POWERS) @ weights)[..., None, :] @ rows)[..., 0, :]
 
 
@@ -287,13 +285,9 @@ def _pb_mix(a, b, s) -> np.ndarray:
     return (a * (p[..., 1:] - p[..., :9]) + b * s) / (a + b)
 
 
+# kept for bench/workloads.py, which evaluates the series at huge m with it
 def pb_vector(alpha: float, beta: float, m: int = 1000) -> np.ndarray:
     return PB(alpha, beta, m).pmf()
-
-
-def pb_truncation_deficit(alpha: float, beta: float, m: int) -> float:
-    """PB(alpha, beta, m).deficit(): the mass lost to truncating at m."""
-    return PB(alpha, beta, m).deficit()
 
 
 def adaptive_truncation(alpha: float, beta: float) -> int:
@@ -311,13 +305,14 @@ def adaptive_truncation(alpha: float, beta: float) -> int:
             f"than {_TRUNCATION_LIMIT:.0e} terms"
         )
     m = max(1, math.ceil(bound) - 1)
-    while pb_truncation_deficit(alpha, beta, m) >= tol:
+    while PB(alpha, beta, m).deficit() >= tol:
         m += 1
-    while m > 1 and pb_truncation_deficit(alpha, beta, m - 1) < tol:
+    while m > 1 and PB(alpha, beta, m - 1).deficit() < tol:
         m -= 1
     return m
 
 
+# kept for bench/workloads.py, which evaluates the laws with it
 def pmf_vector(model: ModelParams) -> np.ndarray:
     """Evaluate a digit law at d = 1..9."""
     return _check_model(model).pmf()

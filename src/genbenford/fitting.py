@@ -5,6 +5,9 @@ pooling.  Degrees of freedom follow the 9-cells-minus-1-minus-estimated-
 parameters convention, 8 - n_params of the law: 8 for Benford, 7 for
 TSPB, 6 for PB.
 
+fit(hist, law, m) fits every law, the one map from a law to its fitter:
+Benford is scored, TSPB fitted by fit_tspb, and PB by fit_pb.
+
 Both fitters are deterministic and score points through one batched
 chi-square objective.  The 1-D TSPB search is one golden section run
 on all 40 cells of a 0.25-step c-grid at once, one point per cell in
@@ -32,19 +35,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .digits import DigitHistogram
-from .distributions import (
-    PB,
-    TSPB,
-    ModelParams,
-    chi_square_sf,
-    model_to_dict,
-    pmf_vector,
-)
-from .distributions import _pb_mix, _pb_probs, _series_differences, _tspb_probs
+from .distributions import (PB, TSPB, Benford, ModelParams, adaptive_truncation,
+                            chi_square_sf, model_to_dict)
+from .distributions import _check_model, _pb_mix, _pb_probs, _series_differences, _tspb_probs
 
 __all__ = [
     "FitResult",
     "chi_square_stat",
+    "fit",
     "fit_tspb",
     "fit_pb",
     "goodness_of_fit",
@@ -159,14 +157,35 @@ def _objective(hist: DigitHistogram, probs_of):
     return chi_squares
 
 
+# kept for bench/workloads.py, which scores Benford with it
 def goodness_of_fit(hist: DigitHistogram, model: ModelParams,
                     estimated_params: int) -> tuple[float, int, float]:
     """(chi_square, df, p_value) for a model with 0..2 estimated parameters."""
     if estimated_params not in (0, 1, 2):
         raise ValueError(f"estimated_params must be 0, 1 or 2, got {estimated_params}")
-    chi2 = chi_square_stat(hist, pmf_vector(model))
+    chi2 = chi_square_stat(hist, _check_model(model).pmf())
     df = 8 - estimated_params
     return chi2, df, chi_square_sf(chi2, df)
+
+
+def fit(hist: DigitHistogram, law, m=1000) -> FitResult:
+    """Fit the digit law `law`, a law class, to hist; a law with no
+    parameters is scored, not fitted.  m is the truncation of a law with an
+    m field, an integer or "adaptive": a pilot fit at m = 1000, refitted at
+    its adaptive truncation only where that lies above 1000.  A law without
+    an m field ignores m."""
+    if law is Benford:
+        return FitResult._of(Benford(), chi_square_stat(hist, Benford().pmf()),
+                             converged=True, evaluations=1)
+    if law is TSPB:
+        return fit_tspb(hist)
+    if law is not PB:
+        raise TypeError(f"not a digit law: {law!r}")
+    if m != "adaptive":
+        return fit_pb(hist, m=m)
+    pilot = fit_pb(hist, m=1000)
+    m = adaptive_truncation(pilot.model.alpha, pilot.model.beta)
+    return fit_pb(hist, m=m) if m > 1000 else pilot
 
 
 def fit_tspb(hist: DigitHistogram) -> FitResult:

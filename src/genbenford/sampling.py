@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digits import DigitHistogram, _fraction_histogram, _is_integral
-from .distributions import PB, TSPB, ModelParams, _check_model, pmf_vector
+from .distributions import PB, TSPB, ModelParams, _check_model
 from .fitting import chi_square_stat
 
 __all__ = [
@@ -112,6 +112,7 @@ def sample_dp(alpha: float, beta: float, u) -> np.ndarray:
 
 # Uniforms drawn and tallied at a time; of 2^12 to 2^16 this ran fastest.
 _SAMPLE_CHUNK = 1 << 14
+_Z_LIMIT = 4.0  # a check passes when every digit's |z| lies below it
 
 
 def empirical_digit_pmf(model: ModelParams, n_samples: int, seed: int) -> DigitHistogram:
@@ -156,7 +157,7 @@ class VerificationReport:
         return max(abs(z) for z in self.z_scores)
 
     def passed(self) -> bool:
-        return self.max_abs_z < 4.0
+        return self.max_abs_z < _Z_LIMIT
 
 
 def verification_report(model: ModelParams, n_samples: int, seed: int) -> VerificationReport:
@@ -164,7 +165,7 @@ def verification_report(model: ModelParams, n_samples: int, seed: int) -> Verifi
     per-digit z-scores plus the overall chi-square.  A pmf whose missing mass
     (the law's `deficit()`) would hold at least one of the draws, which the
     tally still reads as digits, raises ValueError before any draw."""
-    probs = pmf_vector(model)
+    probs = _check_model(model).pmf()
     missing = model.deficit() or 0.0
     if _is_integral(n_samples) and n_samples * missing >= 1:
         raise ValueError(f"the pmf lacks mass {missing:.3g}, about {n_samples * missing:.0f} "

@@ -277,9 +277,11 @@ def keith(count: int) -> list[int]:
     return read_values(data_dir() / "keith.txt")[:count]
 
 
-def idoneal() -> list[int]:
-    """The 65 known idoneal numbers, from the bundled list."""
-    return read_values(data_dir() / "idoneal.txt")
+def idoneal(count: int = _IDONEAL_COUNT) -> list[int]:
+    """The 65 known idoneal numbers, from the bundled list; `count` is 65,
+    or 0, which SequenceSpec reads as 65."""
+    count = SequenceSpec("idoneal", count).param  # the spec's own check of count
+    return read_values(data_dir() / "idoneal.txt")[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +338,7 @@ def format_values(values) -> str:
 
 def generate(spec: SequenceSpec):
     """Yield the values described by `spec` (ints, or floats for square_roots)."""
-    if spec.kind == "idoneal":
-        return idoneal()
-    # every other kind is this module's generator of that name, looked up
+    # every kind is this module's generator of that name, looked up
     # at call time so that a rebound module attribute takes effect
     return globals()[spec.kind](spec.param)
 
@@ -387,7 +387,7 @@ def _edge_counted_histogram(below, count: int) -> DigitHistogram:
             below_edge.append(lo)
         power *= 10
     between = [high - low for low, high in zip(below_edge, below_edge[1:])]
-    return DigitHistogram.from_counts([sum(between[d::9]) for d in range(9)])
+    return DigitHistogram([sum(between[d::9]) for d in range(9)])
 
 
 def _prime_histogram(bound: int) -> DigitHistogram:
@@ -404,7 +404,7 @@ def _prime_histogram(bound: int) -> DigitHistogram:
             lo, hi = d * power // 2, min((d + 1) * power, bound) // 2
             counts[d - 1] += int(np.count_nonzero(sieve[lo:hi]))
         power *= 10
-    return DigitHistogram.from_counts(counts)
+    return DigitHistogram(counts)
 
 
 # Fibonacci, Catalan and Bell numbers taken from their generators, as exact

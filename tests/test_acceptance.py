@@ -32,7 +32,6 @@ from genbenford import (
     fit_pb,
     fit_tspb,
     histogram_from_percentages,
-    pb_truncation_deficit,
     pb_vector,
     pmf_vector,
     tspb_vector,
@@ -281,7 +280,7 @@ def test_criterion_5_normalization_identities():
         for beta in (0.94576, 1.0, 2.3076):
             for m in (1, 10, 100, 1000):
                 total = math.fsum(pb_vector(alpha, beta, m))
-                deficit = pb_truncation_deficit(alpha, beta, m)
+                deficit = PB(alpha, beta, m).deficit()
                 if abs(total - (1.0 - deficit)) >= 1e-12:
                     failures.append(f"pb({alpha},{beta},{m})")
     for c in (1.0, 2.0):

@@ -18,7 +18,6 @@ from genbenford import (
     fit_tspb,
     goodness_of_fit,
     load_survey,
-    pb_truncation_deficit,
     pmf_vector,
     verification_report,
 )
@@ -403,7 +402,10 @@ class TestExitCodes:
     def test_valid_m_leaves_a_law_without_m_alone(self, capsys, command, law):
         params = self._LAW_FLAGS[law] if command != "fit" else ()
         argv = (*self._COMMANDS[command], "--model", law, *params)
-        assert run(capsys, *argv, "--m", "5") == run(capsys, *argv)
+        plain = run(capsys, *argv)
+        assert plain[0] == 0
+        for m in ("5", "adaptive", "survey"):  # a loop, not a parameter: the test ids stay
+            assert run(capsys, *argv, "--m", m) == plain
 
     def test_m_past_float_range_is_usage_error(self, capsys):
         code, _, err = run(capsys, "fit", "--counts", "30,17,12,10,8,7,6,5,5",
@@ -616,7 +618,7 @@ class TestExactFormat:
     def test_pb_pmf_csv_and_json(self, capsys):
         law = PB(2.0, 1.0, 1000)
         probs = pmf_vector(law).tolist()
-        deficit = pb_truncation_deficit(2.0, 1.0, 1000)
+        deficit = law.deficit()
         code, out, _ = run(capsys, "pmf", "--model", "pb", "--alpha", "2",
                            "--beta", "1", "--m", "1000")
         assert code == 0

@@ -23,7 +23,6 @@ from genbenford import (
     chi_square_stat,
     histogram,
     model_to_dict,
-    pb_truncation_deficit,
     pb_vector,
     pmf_vector,
     tspb_vector,
@@ -97,7 +96,7 @@ class TestPb:
     @pytest.mark.parametrize("m", [1, 10, 1000])
     def test_truncation_deficit_identity(self, alpha, beta, m):
         total = math.fsum(pb_vector(alpha, beta, m))
-        deficit = pb_truncation_deficit(alpha, beta, m)
+        deficit = PB(alpha, beta, m).deficit()
         assert abs(total - (1.0 - deficit)) < 1e-12
 
     @pytest.mark.parametrize("alpha,beta,m", [
@@ -107,7 +106,7 @@ class TestPb:
     ])
     def test_truncation_deficit_identity_large_m(self, alpha, beta, m):
         total = math.fsum(pb_vector(alpha, beta, m))
-        deficit = pb_truncation_deficit(alpha, beta, m)
+        deficit = PB(alpha, beta, m).deficit()
         assert abs(total - (1.0 - deficit)) < 1e-12
 
     def test_series_matches_hurwitz_zeta_oracle(self):
@@ -135,13 +134,11 @@ class TestPb:
     def test_rejects_m_past_float_range(self, m):
         with pytest.raises(ValueError):
             PB(2.0, 1.0, m)
-        with pytest.raises(ValueError):
-            pb_truncation_deficit(2.0, 1.0, m)
 
     def test_largest_m_is_finite(self):
         m = dist._M_LIMIT - 1
         assert np.all(np.isfinite(pb_vector(2.0, 1.0, m)))
-        assert pb_truncation_deficit(2.0, 1.0, m) == 0.0
+        assert PB(2.0, 1.0, m).deficit() == 0.0
 
     def test_values_in_unit_interval(self):
         for alpha in (0.5, 1.0, 5.0, 100.0, 1e40, 1e300):
@@ -162,7 +159,7 @@ class TestPb:
         assert v[0] == pytest.approx(expected, rel=1e-15)
         assert v[8] == pytest.approx(1 - expected, rel=1e-15)
         assert np.all(v[1:8] == 0.0)
-        assert pb_truncation_deficit(alpha, beta, 100) == 0.0
+        assert PB(alpha, beta, 100).deficit() == 0.0
 
     @pytest.mark.parametrize("alpha,beta", [(1e308, 1.0), (1e308, 1e308), (1.0, 1e308),
                                             (sys.float_info.max, 1e-300)])
@@ -173,7 +170,7 @@ class TestPb:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             v = PB(alpha, beta, m).pmf()
-            deficit = pb_truncation_deficit(alpha, beta, m)
+            deficit = PB(alpha, beta, m).deficit()
         assert np.all(v >= 0) and abs(math.fsum(v) - (1 - deficit)) < 1e-15
 
     @pytest.mark.parametrize("kwargs", [
@@ -194,8 +191,8 @@ class TestAdaptiveTruncation:
                                             (0.6, 1.0), (0.6, 5.0), (0.55, 0.1)])
     def test_minimal_index_below_tolerance(self, alpha, beta):
         m = adaptive_truncation(alpha, beta)
-        assert pb_truncation_deficit(alpha, beta, m) < 1e-10
-        assert pb_truncation_deficit(alpha, beta, m - 1) >= 1e-10
+        assert PB(alpha, beta, m).deficit() < 1e-10
+        assert PB(alpha, beta, m - 1).deficit() >= 1e-10
 
     def test_refuses_absurd_index(self):
         with pytest.raises(ValueError):

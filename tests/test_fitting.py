@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,8 +14,10 @@ from genbenford import (
     TSPB,
     Benford,
     DigitHistogram,
+    adaptive_truncation,
     chi_square_sf,
     chi_square_stat,
+    fit,
     fit_pb,
     fit_tspb,
     goodness_of_fit,
@@ -22,6 +25,7 @@ from genbenford import (
     load_survey,
     pb_vector,
 )
+from genbenford.cli import main
 from oracles import _PB_POLISH, pb_dense_grid_min, tspb_dense_grid_min
 
 MIXING = DigitHistogram.from_counts([175, 90, 71, 61, 47, 48, 50, 41, 35])
@@ -358,6 +362,41 @@ class TestFitPb:
         for key, row in rows.items():
             fit_pb(histograms[key], m=row.series_m)
         assert len(calls) <= 820
+
+
+class TestFit:
+    """fit(hist, law, m), the one map from a law to its fitter."""
+
+    def test_each_law_is_its_fitter(self):
+        chi2, df, p = goodness_of_fit(MIXING, Benford(), 0)
+        assert fit(MIXING, Benford) == fitting.FitResult(Benford(), chi2, df, p, True, 1)
+        assert fit(MIXING, TSPB) == fit_tspb(MIXING)
+        assert fit(MIXING, PB, 100) == fit_pb(MIXING, m=100)
+        assert fit(MIXING, PB) == fit_pb(MIXING)
+
+    @pytest.mark.parametrize("hist,refit", [(PENTAGONAL, True), (MIXING, False)],
+                             ids=["pentagonal", "mixing"])
+    def test_adaptive_is_the_clis(self, capsys, hist, refit):
+        # a pilot at m = 1000, refitted only where its adaptive m lies above 1000
+        r = fit(hist, PB, "adaptive")
+        pilot = fit_pb(hist)
+        m = adaptive_truncation(pilot.model.alpha, pilot.model.beta)
+        assert (m > 1000) == refit
+        assert r == (fit_pb(hist, m=m) if refit else pilot)
+        code = main(["fit", "--counts", ",".join(map(str, hist.counts)), "--model", "pb",
+                     "--m", "adaptive", "--format", "json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out) == {**r.to_json_dict(), "source": "counts"}
+
+    @pytest.mark.parametrize("m", [5, "adaptive", "survey", 2 ** 1024, None])
+    @pytest.mark.parametrize("law", [Benford, TSPB])
+    def test_m_is_ignored_by_a_law_without_m(self, law, m):
+        assert fit(MIXING, law, m) == fit(MIXING, law)
+
+    @pytest.mark.parametrize("law", [int, None, "pb", PB(1.0, 1.0), Benford()], ids=repr)
+    def test_a_non_law_is_a_type_error(self, law):
+        with pytest.raises(TypeError, match="not a digit law"):
+            fit(MIXING, law)
 
 
 class TestFitResultSerialization:

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import os
 import subprocess
@@ -47,6 +48,23 @@ def test_every_name_the_benchmark_uses_resolves():
     for f, index in ((fitting.fit_pb, 1), (distributions.pb_vector, 2)):
         params = list(inspect.signature(f).parameters.values())
         assert (params[index].name, params[index].default) == ("m", 1000), f.__name__
+
+
+# thin wrappers of a law's pmf(), of its scoring and of DigitHistogram itself,
+# kept while the benchmark calls them
+TWINS = ("pmf_vector", "pb_vector", "tspb_vector", "goodness_of_fit", "from_counts")
+
+
+def test_no_internal_call_goes_through_a_twin():
+    calls = []
+    for path in sorted(Path(genbenford.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in TWINS:
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert calls == []
 
 
 def test_cli_runs_on_numpy_alone():

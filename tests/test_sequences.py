@@ -263,6 +263,11 @@ class TestIdoneal:
             with pytest.raises(ValueError, match="param must be 0 or 65 for idoneal"):
                 SequenceSpec("idoneal", param)
 
+    def test_count_is_checked_as_the_spec_checks_it(self):
+        assert idoneal(0) == idoneal(65) == idoneal()
+        with pytest.raises(ValueError, match="param must be 0 or 65 for idoneal"):
+            idoneal(64)
+
 
 class TestDigitHistogramOf:
     def test_squares_100_matches_survey_row_exactly(self):
@@ -679,3 +684,13 @@ class TestSpecAndCustomFiles:
 def test_generate_looks_generators_up_at_call_time(monkeypatch):
     monkeypatch.setattr(seq, "fibonacci", lambda count: [7] * count)
     assert list(generate(SequenceSpec("fibonacci", 5))) == [7, 7, 7, 7, 7]
+
+
+def test_generate_calls_every_kind_with_its_param(monkeypatch):
+    calls = []
+    for kind in SEQUENCE_KINDS:
+        monkeypatch.setattr(seq, kind, lambda *args, kind=kind: calls.append((kind, args)))
+    specs = [SequenceSpec(kind, 0 if kind == "idoneal" else 3) for kind in SEQUENCE_KINDS]
+    for spec in specs:
+        generate(spec)
+    assert calls == [(spec.kind, (spec.param,)) for spec in specs]

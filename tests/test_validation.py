@@ -15,7 +15,6 @@ from genbenford import (
     PB,
     TSPB,
     adaptive_truncation,
-    pb_truncation_deficit,
     sample_dp,
     sample_tspp,
     tspb_vector,
@@ -61,7 +60,8 @@ def test_c_is_checked_by_tspb_alone(c):
 @checked
 @given(reals, reals, ms)
 def test_alpha_beta_m_are_checked_by_pb_alone(alpha, beta, m):
-    assert _error(pb_truncation_deficit, alpha, beta, m) == _error(PB, alpha, beta, m)
+    # a deficit() adds no check and no other error of its own
+    assert _error(lambda *p: PB(*p).deficit(), alpha, beta, m) == _error(PB, alpha, beta, m)
 
 
 @checked
@@ -107,12 +107,12 @@ def test_pb_flags_are_usage_errors_exactly_when_pb_rejects(alpha, beta, m):
 # helpers kept their own copies of the law's checks
 def test_deficit_rejects_nan_alpha():
     with pytest.raises(ValueError, match="alpha must be a positive real"):
-        pb_truncation_deficit(math.nan, 1.0, 10)
+        PB(math.nan, 1.0, 10).deficit()
 
 
 def test_deficit_rejects_fractional_m():
     with pytest.raises(ValueError, match="m must be an integer"):
-        pb_truncation_deficit(1.0, 1.0, 2.5)
+        PB(1.0, 1.0, 2.5).deficit()
 
 
 def test_adaptive_truncation_names_nan_alpha():
