@@ -12,9 +12,9 @@ from genbenford import (
     Benford,
     SequenceSpec,
     digit_histogram_of,
+    fit,
     fit_pb,
     fit_tspb,
-    goodness_of_fit,
     load_survey,
 )
 
@@ -27,10 +27,11 @@ for row in load_survey():
                        "mixing", "fibonacci", "pentagonal"):
         continue
     hist = row.histogram()
-    b_chi2, _, b_p = goodness_of_fit(hist, Benford(), 0)
+    b = fit(hist, Benford)
     t = fit_tspb(hist)
     p = fit_pb(hist, m=row.series_m)
-    print(f"{row.label:<18s} {row.n:>6d} | {b_chi2:8.3f} {100 * b_p:7.2f} | "
+    print(f"{row.label:<18s} {row.n:>6d} | "
+          f"{b.chi_square:8.3f} {100 * b.p_value:7.2f} | "
           f"{t.model.c:7.4f} {t.chi_square:7.3f} {100 * t.p_value:6.2f} | "
           f"{p.model.alpha:9.4g} {p.model.beta:6.3f} "
           f"{p.chi_square:6.3f} {100 * p.p_value:6.2f}")

@@ -16,7 +16,6 @@ from genbenford import (
     empirical_digit_pmf,
     first_digit_real,
     gbm_char_roots,
-    pmf_vector,
     sample_tspp,
     verification_report,
 )
@@ -55,7 +54,7 @@ print(f"  -> check: alpha*beta = {alpha * beta:.6f} vs 2*lam/sigma^2 = "
 # Feed those exponents straight into the digit law: the first digits of a
 # GBM observed at a random exponential time follow this PB distribution.
 m = adaptive_truncation(alpha, beta)
-digit_law = pmf_vector(PB(alpha=alpha, beta=beta, m=m))
+digit_law = PB(alpha=alpha, beta=beta, m=m).pmf()
 observed = empirical_digit_pmf(PB(alpha, beta, m), 200_000, 20240811).frequencies()
 print()
 print("digit   analytic   simulated")

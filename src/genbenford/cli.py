@@ -305,7 +305,7 @@ def _add_model_flags(p, params: bool):
     p.add_argument("--model", required=True, choices=list(_LAWS))
     for name, f in _param_fields().items() if params else ():
         p.add_argument(f"--{name}", type=float, help=f.metadata["help"])
-    p.add_argument("--m", default="1000",
+    p.add_argument("--m", default=str(PB.m),
                    help="PB series truncation: an integer, 'adaptive', or "
                         "'survey' (pin to the surveyed value)")
 

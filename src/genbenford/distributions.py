@@ -42,6 +42,8 @@ from typing import ClassVar, Union, get_args
 
 import numpy as np
 
+from .digits import _DIGIT_EDGES
+
 __all__ = [
     "Benford",
     "TSPB",
@@ -54,9 +56,6 @@ __all__ = [
     "chi_square_sf",
     "model_to_dict",
 ]
-
-# log10(1), ..., log10(10)
-_L10 = np.log10(np.arange(1, 11, dtype=float))
 
 # PB series: _HEAD terms are summed directly; each end of the
 # Euler-Maclaurin tail has one row per exponent offset: half the end term
@@ -90,7 +89,7 @@ class Benford:
     n_params: ClassVar[int] = 0
 
     def pmf(self) -> np.ndarray:
-        return _L10[1:] - _L10[:9]
+        return _DIGIT_EDGES[1:] - _DIGIT_EDGES[:9]
 
     def deficit(self) -> None:
         """None: the law is not truncated."""
@@ -191,7 +190,7 @@ def model_to_dict(model: ModelParams) -> dict:
 def _tspb_probs(c) -> np.ndarray:
     """Unvalidated TSPB pmf, shared by TSPB.pmf and the fitter's objective:
     c is a float, or an array of shape (K, 1) for a (K, 9) result."""
-    p, q = _L10 ** c, (1 - _L10) ** c
+    p, q = _DIGIT_EDGES ** c, (1 - _DIGIT_EDGES) ** c
     return 0.5 * (p[..., 1:] - p[..., :9] - q[..., 1:] + q[..., :9])
 
 
@@ -225,7 +224,7 @@ def _series_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         weights[0, [head, head + len(_TAIL_OFFSETS)]] = -0.5  # half the end terms
     t = np.array(ts, dtype=float)[:, None]
     # log1p(x/t) keeps x_d at any t, where t + x_d would round to t
-    lo, hi = np.log1p(_L10[:9] / t), np.log1p(_L10[1:] / t)
+    lo, hi = np.log1p(_DIGIT_EDGES[:9] / t), np.log1p(_DIGIT_EDGES[1:] / t)
     return np.stack([-(np.log(t) + lo), lo - hi]), np.array(offsets)[:, None], weights
 
 
@@ -278,7 +277,7 @@ def _pb_mix(a, b, s) -> np.ndarray:
     broadcast together to a shape whose pmfs lie on a new last axis of 9,
     and s broadcasts to that."""
     a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
-    p = _L10 ** b
+    p = _DIGIT_EDGES ** b
     if np.maximum(a, b).max() > _HALF_MAX:  # halve both weights where a + b overflows
         over = a / 2 + b / 2 > _HALF_MAX  # exactly there; the scaling is exact
         a, b = np.where(over, a / 2, a), np.where(over, b / 2, b)
@@ -286,7 +285,7 @@ def _pb_mix(a, b, s) -> np.ndarray:
 
 
 # kept for bench/workloads.py, which evaluates the series at huge m with it
-def pb_vector(alpha: float, beta: float, m: int = 1000) -> np.ndarray:
+def pb_vector(alpha: float, beta: float, m: int = PB.m) -> np.ndarray:
     return PB(alpha, beta, m).pmf()
 
 

@@ -168,12 +168,12 @@ def goodness_of_fit(hist: DigitHistogram, model: ModelParams,
     return chi2, df, chi_square_sf(chi2, df)
 
 
-def fit(hist: DigitHistogram, law, m=1000) -> FitResult:
+def fit(hist: DigitHistogram, law, m=PB.m) -> FitResult:
     """Fit the digit law `law`, a law class, to hist; a law with no
     parameters is scored, not fitted.  m is the truncation of a law with an
-    m field, an integer or "adaptive": a pilot fit at m = 1000, refitted at
-    its adaptive truncation only where that lies above 1000.  A law without
-    an m field ignores m."""
+    m field, an integer or "adaptive": a pilot fit at PB's default m
+    (1000), refitted at its adaptive truncation only where that lies above
+    it.  A law without an m field ignores m."""
     if law is Benford:
         return FitResult._of(Benford(), chi_square_stat(hist, Benford().pmf()),
                              converged=True, evaluations=1)
@@ -183,9 +183,9 @@ def fit(hist: DigitHistogram, law, m=1000) -> FitResult:
         raise TypeError(f"not a digit law: {law!r}")
     if m != "adaptive":
         return fit_pb(hist, m=m)
-    pilot = fit_pb(hist, m=1000)
+    pilot = fit_pb(hist, m=PB.m)
     m = adaptive_truncation(pilot.model.alpha, pilot.model.beta)
-    return fit_pb(hist, m=m) if m > 1000 else pilot
+    return fit_pb(hist, m=m) if m > PB.m else pilot
 
 
 def fit_tspb(hist: DigitHistogram) -> FitResult:
@@ -340,14 +340,16 @@ def _newton_polish(f, x: np.ndarray) -> tuple:
     return x, fun, nfev, False
 
 
-def fit_pb(hist: DigitHistogram, m: int = 1000) -> FitResult:
+def fit_pb(hist: DigitHistogram, m: int = PB.m) -> FitResult:
     """Minimize the chi-square over PB's (alpha, beta) at truncation m.
 
     In (log alpha, log beta) space: the profile (_pb_profile), then a
     Newton polish (_newton_polish) from each start; the lowest end is the
     fit, ties to the earlier start.  `converged` says that polish
     stopped on its step tolerance or found no lower point, not at its
-    iteration cap; `evaluations` counts every point scored.
+    iteration cap; `evaluations` counts every point scored.  A fitted beta
+    of e^700 = 1.01423e+304 (_LOG_BETA_CAP) is the limit beta -> infinity,
+    where the law is the series alone to float64.
     """
     m = PB(1.0, 1.0, m).m  # the law's own check of m
     objective = _pb_objective(hist, m)

@@ -3,11 +3,11 @@
 Every integer generator works on Python ints end to end, so values such as
 Catalan(99) or Bell(100) keep their exact leading digit.  Squares, cubes and
 pentagonal numbers are running sums (`itertools.accumulate`) of their exact
-integer differences, and partition numbers come from Euler's recurrence over
-a precomputed table of pentagonal offsets.  Keith and idoneal numbers ship as
-bundled data files; the rest are generated from scratch.  Ulam numbers
-come from bitsets of the sums above the last term (`ulam`), lucky numbers
-from a sieve run first to a limit near the last one (`_lucky_limit`).
+integer differences, and partition numbers come from Euler's pentagonal-number
+recurrence.  Keith and idoneal numbers ship as bundled data files; the rest
+are generated from scratch.  Ulam numbers come from bitsets of the sums
+above the last term (`ulam`), lucky numbers from a sieve run first to a
+limit near the last one (`_lucky_limit`).
 A user's data file is values (`read_values`), not a sequence kind.
 
 `digit_histogram_of` counts nine kinds, each by its entry in the one
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from bisect import bisect_right
 from itertools import accumulate, compress, islice
 from pathlib import Path
 from typing import Iterator
@@ -167,25 +166,19 @@ def bell(count: int) -> Iterator[int]:
 def partition(count: int) -> Iterator[int]:
     """p(1)..p(count) by Euler's pentagonal-number recurrence
 
-        p(n) = sum over k >= 1 of (-1)^(k+1) [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)].
+        p(n) = sum over k >= 1 of (-1)^(k+1) [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)],
 
-    The generalized pentagonal numbers k(3k-1)/2 and k(3k+1)/2 are tabled
-    once, split by the sign of k's term; each table is ascending.
-    `digit_histogram_of` lists only the first _PARTITION_HEAD terms and
-    reads the rest off the leading term of Rademacher's series.
+    with p(0) = 1 and p(n) = 0 for n < 0.  `digit_histogram_of` lists only
+    the first _LISTED_HEAD terms and reads the rest off the leading term of
+    Rademacher's series.
     """
-    plus, minus = [], []
-    k = 1
-    while (g := k * (3 * k - 1) // 2) <= count:
-        (plus if k % 2 else minus).extend((g, g + k))
-        k += 1
-    # while p(n) is computed, p holds p(0)..p(n-1), so p[n - g] is p[-g]
-    plus_back, minus_back = [-g for g in plus], [-g for g in minus]
     p = [1]
-    term = p.__getitem__
     for n in range(1, count + 1):
-        total = (sum(map(term, plus_back[:bisect_right(plus, n)]))
-                 - sum(map(term, minus_back[:bisect_right(minus, n)])))
+        total, k = 0, 1
+        while (g := k * (3 * k - 1) // 2) <= n:
+            term = p[n - g] + (p[n - g - k] if g + k <= n else 0)
+            total += term if k % 2 else -term
+            k += 1
         p.append(total)
         yield total
 
@@ -407,9 +400,9 @@ def _prime_histogram(bound: int) -> DigitHistogram:
     return DigitHistogram(counts)
 
 
-# Fibonacci, Catalan and Bell numbers taken from their generators, as exact
-# ints, before the float logs of the later terms take over; among the first
-# ones 1, 2 and 5 have logs exactly on a digit edge.
+# Fibonacci, Catalan, Bell and partition numbers taken from their generators,
+# as exact ints, before the float logs of the later terms take over; among
+# the first ones 1, 2 and 5 have logs exactly on a digit edge.
 _LISTED_HEAD = 64
 
 # log10((1 + sqrt 5) / 2) and log10(sqrt 5), each the nearest float to it
@@ -437,11 +430,11 @@ def _ascending(terms: Iterator):
     return term
 
 
-def _log_counted_histogram(terms: Iterator, head: int, x, error) -> DigitHistogram:
-    """The digit histogram of the first `head` items of the generator `terms`,
-    listed, then of the items whose logs are x (within `error`), of which
-    those near a digit edge are computed by carrying `terms` on to them."""
-    listed = _first_digits(list(islice(terms, head)))
+def _log_counted_histogram(terms: Iterator, x, error) -> DigitHistogram:
+    """The digit histogram of the first _LISTED_HEAD items of the generator
+    `terms`, listed, then of the items whose logs are x (within `error`), of
+    which those near a digit edge are computed by carrying `terms` on to them."""
+    listed = _first_digits(list(islice(terms, _LISTED_HEAD)))
     return histogram(np.concatenate([listed, _digits_from_log10(x, error, _ascending(terms))]))
 
 
@@ -460,8 +453,8 @@ def _fibonacci_histogram(count: int) -> DigitHistogram:
     1e-16 n.
     """
     n = np.arange(_LISTED_HEAD + 1, count + 1, dtype=float)
-    return _log_counted_histogram(fibonacci(count), _LISTED_HEAD,
-                                  n * _LOG10_PHI - _LOG10_SQRT5, _FIBONACCI_ERROR * n)
+    return _log_counted_histogram(fibonacci(count), n * _LOG10_PHI - _LOG10_SQRT5,
+                                  _FIBONACCI_ERROR * n)
 
 
 def _catalan_histogram(count: int) -> DigitHistogram:
@@ -482,7 +475,7 @@ def _catalan_histogram(count: int) -> DigitHistogram:
     k = np.arange(count - 1, dtype=float)
     x = np.cumsum(np.log10(2 * (2 * k + 1) / (k + 2)))[_LISTED_HEAD - 1:]
     n = np.arange(_LISTED_HEAD, count)
-    return _log_counted_histogram(catalan(count), _LISTED_HEAD, x, _CATALAN_ERROR * n * (1 + x))
+    return _log_counted_histogram(catalan(count), x, _CATALAN_ERROR * n * (1 + x))
 
 
 # log10 2 and log10 e, each the nearest float to it
@@ -543,13 +536,8 @@ def _bell_histogram(count: int) -> DigitHistogram:
     """
     n = np.arange(_LISTED_HEAD + 1, count + 1, dtype=float)
     x = _bell_logs(count)[_LISTED_HEAD:]
-    return _log_counted_histogram(bell(count), _LISTED_HEAD, x,
-                                  _BELL_ERROR * (n * n + 16 * (1 + x)))
+    return _log_counted_histogram(bell(count), x, _BELL_ERROR * (n * n + 16 * (1 + x)))
 
-
-# Partition numbers listed before the leading term of Rademacher's series
-# takes over: past p(600) it is within 1e-13 in log10 (_partition_histogram)
-_PARTITION_HEAD = 600
 
 # pi sqrt(2/3) and pi^2 / (6 sqrt 3), each the nearest float to it
 _RADEMACHER_C = 2.565099660323728
@@ -561,8 +549,8 @@ _PARTITION_ROUNDING = 4e-16
 
 
 def _partition_histogram(count: int) -> DigitHistogram:
-    """The digit histogram of p(1)..p(count): the first _PARTITION_HEAD
-    terms listed, then for n > _PARTITION_HEAD the log10 of the k = 1 term
+    """The digit histogram of p(1)..p(count): the first _LISTED_HEAD
+    terms listed, then for n > _LISTED_HEAD the log10 of the k = 1 term
     of Rademacher's series (Rademacher 1937),
 
         T_1 = K e^mu h(mu) / mu^2,  h(mu) = 1 - 1/mu + e^(-2 mu) (1 + 1/mu),
@@ -587,18 +575,20 @@ def _partition_histogram(count: int) -> DigitHistogram:
         sqrt(n - 1))) / (1 - 1/mu),
 
     and |log10 p(n) - log10 T_1| <= log10(e) delta / (1 - delta) <=
-    0.44 delta, also covering the float evaluation of delta and the dropped
-    e^(-2 mu) term, under 1e-50 past n = 600.  The rounding, u = 2^-53:
+    0.44 delta while delta <= 0.0129, as it is from n = 65 on (delta(65) =
+    1.05e-4, falling with n), also covering the float evaluation of delta
+    and the dropped e^(-2 mu) term (e^(-2 mu) is 1.1e-18 at n = 65).
+    The rounding, u = 2^-53:
     n - 1/24, the square root, C and the product put mu within 3.6 u
     relative, moving x_n by under 0.4343 * 3.6 u mu; the rounded constant
     and product in mu log10 e add 2 u 0.4343 mu, and the final sum u x_n <=
     0.49 u mu: under 4e-16 mu in all.  The argument of s_n is within 5 u
     relative, 2.4e-16 in s_n, and np.log10, taken to err by at most 4 ulps,
     adds 8.9e-16 |s_n|: under 1e-15 (1 + |s_n|).  The total bound is
-    0.44 delta + _PARTITION_ROUNDING (mu + 2.5 (1 + |s_n|)), under 1.1e-13
-    at n = 601 and 8.5e-14 at n = 6,000.
+    0.44 delta + _PARTITION_ROUNDING (mu + 2.5 (1 + |s_n|)): 4.6e-5 at
+    n = 65, 2.9e-8 at n = 200, 1.1e-13 at n = 601 and 8.5e-14 at n = 6,000.
     """
-    n = np.arange(_PARTITION_HEAD + 1, count + 1, dtype=float)
+    n = np.arange(_LISTED_HEAD + 1, count + 1, dtype=float)
     mu = _RADEMACHER_C * np.sqrt(n - 1 / 24)
     s = np.log10(_RADEMACHER_K * (1 - 1 / mu) / (mu * mu))
     x = mu * _LOG10_E + s
@@ -606,7 +596,7 @@ def _partition_histogram(count: int) -> DigitHistogram:
     delta = (0.7072 * np.exp(-mu / 2) + mu * mu * (
         0.83 * np.exp(-mu) + 0.0442 * np.exp(nu - mu) / np.sqrt(n - 1))) / (1 - 1 / mu)
     error = 0.44 * delta + _PARTITION_ROUNDING * (mu + 2.5 * (1 - s))
-    return _log_counted_histogram(partition(count), _PARTITION_HEAD, x, error)
+    return _log_counted_histogram(partition(count), x, error)
 
 
 # Kinds whose digit histogram is counted without listing a term:
@@ -640,10 +630,10 @@ def digit_histogram_of(spec: SequenceSpec) -> DigitHistogram:
       are counted at the digit edges: O(D log count) tests for terms of at
       most D digits, each a comparison of Python ints, exact at any count;
     - primes_below counts the odd sieve's entries between digit edges;
-    - fibonacci, catalan and bell read the digits of all but their first
-      _LISTED_HEAD terms, and partition of all but its first
-      _PARTITION_HEAD, off float logs with a proven error bound, and compute
-      exactly the few terms whose logs lie too close to a digit edge.
+    - fibonacci, catalan, bell and partition read the digits of all but
+      their first _LISTED_HEAD terms off float logs with a proven error
+      bound, and compute exactly the few terms whose logs lie too close to a
+      digit edge.
 
     Lucky, Ulam, Keith and idoneal numbers are generated and their first
     digits tallied `_HISTOGRAM_CHUNK` values at a time.

@@ -445,7 +445,7 @@ class TestEdgeCountedKinds:
 LOG_COUNTED = ("fibonacci", "catalan", "bell", "partition")
 # the terms each log-counted kind lists before its logs take over
 LISTED_HEAD = {"fibonacci": seq._LISTED_HEAD, "catalan": seq._LISTED_HEAD,
-               "bell": seq._LISTED_HEAD, "partition": seq._PARTITION_HEAD}
+               "bell": seq._LISTED_HEAD, "partition": seq._LISTED_HEAD}
 
 
 @pytest.fixture
@@ -495,12 +495,12 @@ class TestCountedKinds:
                      st.tuples(st.just("partition"), st.integers(1, 6000))))
     @example(("bell", seq._LISTED_HEAD))
     @example(("bell", seq._LISTED_HEAD + 1))
-    @example(("bell", seq._PARTITION_HEAD))
-    @example(("bell", seq._PARTITION_HEAD + 1))
+    @example(("bell", 600))
+    @example(("bell", 601))
     @example(("partition", seq._LISTED_HEAD))
     @example(("partition", seq._LISTED_HEAD + 1))
-    @example(("partition", seq._PARTITION_HEAD))
-    @example(("partition", seq._PARTITION_HEAD + 1))
+    @example(("partition", 600))
+    @example(("partition", 601))
     def test_bell_and_partition_match_the_listing_path(self, kind_and_count):
         spec = SequenceSpec(*kind_and_count)
         assert digit_histogram_of(spec).counts == seq._listed_histogram(spec).counts
@@ -549,6 +549,20 @@ class TestCountedKinds:
         digit_histogram_of(SequenceSpec(kind, count))
         assert 1 <= len(settled) <= 10
         assert max(settled) < 10 ** 20
+
+    def test_partition_lists_only_the_head(self, monkeypatch):
+        # a deterministic work counter: at the benchmark's largest size the
+        # partition numbers taken from the generator are the listed head alone
+        taken = []
+
+        def counted(count):
+            for value in partition(count):
+                taken.append(value)
+                yield value
+
+        monkeypatch.setattr(seq, "partition", counted)
+        digit_histogram_of(SequenceSpec("partition", 6060))
+        assert len(taken) == seq._LISTED_HEAD
 
     def test_lehmers_remainder_bounds_the_rademacher_series(self):
         # p(n) - T_1 - T_2 against Lehmer's bound on the terms past N = 2,
