@@ -18,9 +18,8 @@ each alpha's chi-square is minimized over log beta by a grid and a golden
 section that need no further series evaluation; the limit beta -> infinity,
 the series alone, is searched in log alpha in the same golden-section
 calls.  Then a Newton polish from each start: projected Newton steps
-(Bertsekas 1982), two calls per iteration, run from each of the best 3
-local minima of the profile and from the limit, and the lowest end is the
-fit.
+(Bertsekas 1982), two calls per iteration, run from every local minimum
+of the profile and from the limit, and the lowest end is the fit.
 tests/fit_pb_corpus.py and its dense-grid oracle judge the result: on 657
 fixed-seed histograms no fit is worse than a dense-grid search by more
 than 1e-9.  alpha is capped at exactly 1e9 (the chi-square surface goes
@@ -76,9 +75,6 @@ _PROFILE_BLOCK = 24  # alpha rows per series or grid call: temporaries of 110 kB
 # the golden sections' width: at 1e-3 the valley of a fit of n = 244,695 is
 # too narrow in log beta to rank its basin first
 _PROFILE_TOL = 1e-4
-_PROFILE_STARTS = 3
-# the least rise of the profile between two of its starts
-_PROFILE_RISE = 1e-6
 
 # the polish's central-difference stencil, line-search step scales, step
 # tolerance and iteration cap
@@ -248,9 +244,9 @@ def _pb_profile(hist: DigitHistogram, m: int) -> tuple:
     and its best beta refined by golden section (its best interior grid
     minimum, if it has one); the limit beta -> infinity, the series
     S(alpha) alone, is searched in log alpha in the same calls.  The
-    starts (S, 2) are the best _PROFILE_STARTS local minima of the profile
-    over log alpha, best first (ties to the smaller alpha), each in a basin
-    of its own, then the limit's point.  nev counts every point scored.
+    starts (S, 2) are every local minimum of the profile over log alpha,
+    best first (ties to the smaller alpha), then the limit's point.  nev
+    counts every point scored.
     """
     alpha, beta = _pb_params(_PROFILE_LOG_ALPHAS, _PROFILE_LOG_BETAS)
     series = np.concatenate([_series_differences(alpha[i:i + _PROFILE_BLOCK], m)
@@ -289,16 +285,7 @@ def _pb_profile(hist: DigitHistogram, m: int) -> tuple:
     fb = np.minimum(fx[:-1], grid_best)
     padded = np.r_[np.inf, fb, np.inf]
     local = np.flatnonzero((fb <= padded[:-2]) & (fb <= padded[2:]))
-    best = []
-    for i in local[np.argsort(fb[local], kind="stable")]:
-        # a minimum is a start only if the profile rises by more than
-        # _PROFILE_RISE between it and each better start: rounding alone
-        # makes minima on a flat stretch, such as the near-Benford plateau
-        # toward the alpha cap
-        if all(fb[min(i, k):max(i, k) + 1].max() > fb[i] + _PROFILE_RISE for k in best):
-            best.append(i)
-            if len(best) == _PROFILE_STARTS:
-                break
+    best = local[np.argsort(fb[local], kind="stable")]
     return (np.r_[np.c_[_PROFILE_LOG_ALPHAS[best], lb[best]], [[x[-1], _LOG_BETA_CAP]]],
             ends.size + chi.size + nev)
 

@@ -11,7 +11,7 @@ pmfs with n from 25 to 1e6, then 300 histograms of n <= 40 with emptied
 cells; each draw's m cycles through 100, 1000 and 5000.  The draws come
 from seed 20240811; `--seed N` draws a held-out corpus from seed N
 instead, to judge a change of the fitter on histograms it was not tuned
-on (CI runs seeds 7, 11, 13 and 17 too).  It prints each failing fit and
+on (CI runs seeds 7, 11, 13, 17 and 43 too).  It prints each failing fit and
 the count of each failure, then the fit_pb evaluations by stage (the
 profile's grid and golden sections, the Newton polishes), the polishes
 per fit and the objective calls: a call costs a fixed overhead beyond its

@@ -243,6 +243,15 @@ class TestFitPb:
         assert r.chi_square == 0.0
         assert r.evaluations <= 300
 
+    def test_every_local_minimum_of_the_profile_is_a_start(self):
+        # counts on digits 1 and 9 alone: the profile over log alpha has 7
+        # local minima, each a start, then the limit's point
+        hist = DigitHistogram.from_counts([5864, 0, 0, 0, 0, 0, 0, 0, 957])
+        starts, _ = fitting._pb_profile(hist, 100)
+        assert len(starts) == 8
+        assert (starts[:-1, 1] < fitting._LOG_BETA_CAP).all()
+        assert starts[-1, 1] == fitting._LOG_BETA_CAP
+
     @pytest.mark.parametrize("counts,m", [
         # held-out corpus seed 13: the 17-start multistart stopped at 44.47
         # (p = 6e-8) at alpha 1.53, beta 1.67; the minimum is 10.31 near
@@ -255,8 +264,9 @@ class TestFitPb:
         # 5.49 at the grid alphas beside it
         ([17, 0, 2, 0, 0, 0, 0, 0, 0], 5000),
         # held-out corpus seed 43: the profile's minima on the near-Benford
-        # plateau past log alpha 8 differ by rounding alone; taken as starts,
-        # they crowd out the basin at log alpha 0.50 (3.113 against 3.128)
+        # plateau past log alpha 8 differ by rounding alone; a cap on the
+        # starts that they fill leaves out the basin at log alpha 0.50
+        # (3.113 against 3.128)
         ([16786, 1157, 591, 413, 312, 230, 190, 143, 135], 100),
         # held-out corpus seed 41: near log alpha 0 the grid's best log beta
         # is its edge, 12, while a basin near log beta 0.11, between two grid
@@ -417,7 +427,7 @@ def _scipy_runs(f, starts, options):
             for x in starts]
 
 
-class TestLockstepNelderMead:
+class TestPolishMatchesScipy:
     """fit_pb's Newton polish against scipy's Nelder-Mead with the oracle's
     options (_PB_POLISH), start by start: from each start that fit_pb
     polishes, _pb_profile's local minima and its limit, the polish ends no
