@@ -13,13 +13,15 @@ chi-square objective.  The 1-D TSPB search is one golden section run
 on all 40 cells of a 0.25-step c-grid at once, one point per cell in
 each call.  The 2-D PB search in (log alpha, log beta) space starts from a
 profile over log alpha (the profile chi-square of Venzon & Moolgavkar
-1988, used as a search): the series of 120 alphas is evaluated once, and
-each alpha's chi-square is minimized over log beta by a grid and a golden
-section that need no further series evaluation; the limit beta -> infinity,
-the series alone, is searched in log alpha in the same golden-section
-calls.  Then a Newton polish from each start: projected Newton steps
-(Bertsekas 1982), two calls per iteration, run from every local minimum
-of the profile and from the limit, and the lowest end is the fit.
+1988, used as a search): the series of 120 alphas and their pmfs on a
+log-beta grid, which do not depend on the histogram, are built once per
+truncation m and cached, and each alpha's chi-square is minimized over log
+beta by that grid and a golden section that need no further series
+evaluation; the limit beta -> infinity, the series alone, is searched in
+log alpha in the same golden-section calls.  Then a Newton polish from
+each start: projected Newton steps (Bertsekas 1982), two calls per
+iteration, run from every local minimum of the profile and from the
+limit, and the lowest end is the fit.
 tests/fit_pb_corpus.py and its dense-grid oracle judge the result: on 657
 fixed-seed histograms no fit is worse than a dense-grid search by more
 than 1e-9.  alpha is capped at exactly 1e9 (the chi-square surface goes
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -234,35 +237,48 @@ def _pb_objective(hist: DigitHistogram, m: int):
     return _objective(hist, lambda lp: _pb_probs(*_pb_params(*lp.T), m))
 
 
+@lru_cache(maxsize=8)
+def _profile_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The part of _pb_profile that depends on m alone, read-only: the
+    series (120, 9) of the profile's alphas, and their pmfs at the two ends
+    in log beta (120, 2, 9) and on the log-beta grid (120, 64, 9), each
+    built _PROFILE_BLOCK alpha rows at a time."""
+    alpha, beta = _pb_params(_PROFILE_LOG_ALPHAS, _PROFILE_LOG_BETAS)
+    blocks = range(0, len(alpha), _PROFILE_BLOCK)
+    series = np.concatenate([_series_differences(alpha[i:i + _PROFILE_BLOCK], m)
+                             for i in blocks])
+    ends = _pb_mix(alpha[:, None], _pb_params(0.0, _PROFILE_ENDS)[1], series[:, None])
+    grid = np.concatenate([_pb_mix(alpha[i:i + _PROFILE_BLOCK, None], beta,
+                                   series[i:i + _PROFILE_BLOCK, None]) for i in blocks])
+    for table in (series, ends, grid):
+        table.flags.writeable = False
+    return series, ends, grid
+
+
 def _pb_profile(hist: DigitHistogram, m: int) -> tuple:
     """Where fit_pb's search begins: (starts, nev).
 
-    The series of the 120 alphas is evaluated once, _PROFILE_BLOCK at a
-    time.  The two ends in log beta are scored first; a point there that
-    scores 0 is the one start, as nothing scores lower.  Otherwise each
-    alpha row is scored on the log-beta grid, _PROFILE_BLOCK rows a call,
-    and its best beta refined by golden section (its best interior grid
+    The series of the 120 alphas and their pmfs at the two ends in log
+    beta and on the log-beta grid do not depend on hist: _profile_table
+    builds them once per m.  The two ends are scored first; a point there
+    that scores 0 is the one start, as nothing scores lower.  Otherwise
+    each alpha row is scored on the grid, _PROFILE_BLOCK rows a call, and
+    its best beta refined by golden section (its best interior grid
     minimum, if it has one); the limit beta -> infinity, the series
     S(alpha) alone, is searched in log alpha in the same calls.  The
     starts (S, 2) are every local minimum of the profile over log alpha,
     best first (ties to the smaller alpha), then the limit's point.  nev
     counts every point scored.
     """
-    alpha, beta = _pb_params(_PROFILE_LOG_ALPHAS, _PROFILE_LOG_BETAS)
-    series = np.concatenate([_series_differences(alpha[i:i + _PROFILE_BLOCK], m)
-                             for i in range(0, len(alpha), _PROFILE_BLOCK)])
-
-    def scored(a, b, s):  # PB(a, b) from the series s of a, all broadcast together
-        return _objective(hist, lambda b: _pb_mix(a, b, s))(b)
-
-    ends = scored(alpha[:, None], _pb_params(0.0, _PROFILE_ENDS)[1], series[:, None])
+    series, end_pmfs, grid = _profile_table(m)
+    scored = _objective(hist, lambda pmfs: pmfs)
+    ends = scored(end_pmfs)
     if ends.min() == 0:
         i, k = np.unravel_index(ends.argmin(), ends.shape)
         start = np.array([[_PROFILE_LOG_ALPHAS[i], _PROFILE_ENDS[k]]])
         return start, ends.size
-    chi = np.concatenate([
-        scored(alpha[i:i + _PROFILE_BLOCK, None], beta, series[i:i + _PROFILE_BLOCK, None])
-        for i in range(0, len(alpha), _PROFILE_BLOCK)])
+    chi = np.concatenate([scored(grid[i:i + _PROFILE_BLOCK])
+                          for i in range(0, len(grid), _PROFILE_BLOCK)])
     # one golden section on 121 intervals: each alpha row's log beta, and the
     # limit's log alpha, between the grid neighbours of the best grid point;
     # a row refines its best interior minimum, if it has one, rather than an
@@ -275,7 +291,7 @@ def _pb_profile(hist: DigitHistogram, m: int) -> tuple:
     limit_lo, limit_hi = _neighbours(_PROFILE_LOG_ALPHAS, ends[:, 1].argmin(keepdims=True))
 
     def probs(x):  # the rows' pmfs from their series, then the limit's
-        return np.r_[_pb_mix(alpha, _pb_params(_PROFILE_LOG_ALPHAS, x[:-1])[1], series),
+        return np.r_[_pb_mix(*_pb_params(_PROFILE_LOG_ALPHAS, x[:-1]), series),
                      _pb_probs(*_pb_params(x[-1:], _LOG_BETA_CAP), m)]
 
     x, fx, nev = _golden_section(_objective(hist, probs), np.r_[lo, limit_lo],

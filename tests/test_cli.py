@@ -4,6 +4,7 @@ import json
 import math
 import shutil
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +186,13 @@ class TestFit:
 
 
 class TestTables:
+    def test_survey_markdown_is_the_committed_table(self, capsys):
+        # all 19 rows, both tables, each row at its survey m: byte for byte
+        code, out, err = run(capsys, "tables", "--format", "markdown")
+        assert (code, err) == (0, "")
+        expected = Path(__file__).parent / "data" / "survey_tables.md"
+        assert out.encode() == expected.read_bytes()
+
     def test_digits_table_csv_row_values(self, capsys):
         code, out, _ = run(capsys, "tables", "--table", "digits",
                            "--format", "csv", "--rows", "square,mixing")

@@ -316,6 +316,30 @@ class TestFitPb:
         reference = fitting._pb_objective(MIXING, m)(points).reshape(grid.shape)
         np.testing.assert_allclose(grid, reference, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("m", [1, 100, 5000, 10 ** 300], ids=["1", "100", "5000", "10**300"])
+    def test_profile_table_is_the_per_block_series_and_pmfs(self, m):
+        # bit for bit the series and pmfs of the profile's own blocks, the
+        # series and the grid a block of alpha rows at a time and the two
+        # ends in one call, so that caching the table moves no fit
+        series, ends, grid = fitting._profile_table(m)
+        alpha, beta = fitting._pb_params(fitting._PROFILE_LOG_ALPHAS, fitting._PROFILE_LOG_BETAS)
+        for i in range(0, len(alpha), fitting._PROFILE_BLOCK):
+            rows = slice(i, i + fitting._PROFILE_BLOCK)
+            block = _series_differences(alpha[rows], m)
+            assert np.array_equal(series[rows], block)
+            assert np.array_equal(grid[rows], _pb_mix(alpha[rows, None], beta, block[:, None]))
+        end_betas = fitting._pb_params(0.0, fitting._PROFILE_ENDS)[1]
+        assert np.array_equal(ends, _pb_mix(alpha[:, None], end_betas, series[:, None]))
+        assert (series.shape, ends.shape, grid.shape) == ((120, 9), (120, 2, 9), (120, 64, 9))
+        assert not any(table.flags.writeable for table in (series, ends, grid))
+
+    def test_a_cold_profile_table_fits_as_a_warm_one(self):
+        fitting._profile_table(100)
+        warm = fit_pb(MIXING, m=100)
+        fitting._profile_table.cache_clear()
+        assert fit_pb(MIXING, m=100) == warm
+        assert fitting._profile_table.cache_info().misses == 1
+
     def test_polish_iteration_cap_is_not_convergence(self, monkeypatch):
         monkeypatch.setattr(fitting, "_NEWTON_MAXITER", 1)
         assert fit_pb(MIXING, m=100).converged is False
@@ -442,6 +466,12 @@ class TestPolishMatchesScipy:
         (DigitHistogram.from_counts([0, 0, 5, 0, 3, 0, 0, 1, 0]), 100),  # the 1e300 sentinel
         (DigitHistogram.from_counts([1, 0, 0, 0, 0, 0, 0, 0, 0]), 100),
         (CAP_VALLEY, 1000),
+        pytest.param(DigitHistogram.from_counts([5864, 0, 0, 0, 0, 0, 0, 0, 957]), 100,
+                     marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+                         "from the start (4.7259, 6.5386) the polish stops at 7.555e-10 "
+                         "with converged True, where scipy reaches 2.2e-30: it stops when "
+                         "no trial point is lower, not on a stationarity test "
+                         "(ROADMAP item 4)"))),
     ])
     def test_pb_stages_match_scipy(self, hist, m):
         f = fitting._pb_objective(hist, m)
