@@ -14,14 +14,15 @@ on all 40 cells of a 0.25-step c-grid at once, one point per cell in
 each call.  The 2-D PB search in (log alpha, log beta) space starts from a
 profile over log alpha (the profile chi-square of Venzon & Moolgavkar
 1988, used as a search): the series of 120 alphas and their pmfs on a
-log-beta grid, which do not depend on the histogram, are built once per
-truncation m and cached, and each alpha's chi-square is minimized over log
-beta by that grid and a golden section that need no further series
-evaluation; the limit beta -> infinity, the series alone, is searched in
-log alpha in the same golden-section calls.  Then a Newton polish from
-each start: projected Newton steps (Bertsekas 1982), two calls per
-iteration, run from every local minimum of the profile and from the
-limit, and the lowest end is the fit.
+log-beta grid and at the limit beta -> infinity, which do not depend on
+the histogram, are built once per truncation m and cached in one table,
+and each alpha's chi-square is minimized over log beta by that grid and a
+golden section that needs no further series evaluation.  A histogram with
+every count on digit 1 skips the profile: its one start is the limit
+beta -> 0.  Then a Newton polish from each start: projected Newton steps
+(Bertsekas 1982), two calls per iteration, run from every local minimum
+of the profile and from the limit's best alpha, and the lowest end is
+the fit.
 tests/fit_pb_corpus.py and its dense-grid oracle judge the result: on 657
 fixed-seed histograms no fit is worse than a dense-grid search by more
 than 1e-9.  alpha is capped at exactly 1e9 (the chi-square surface goes
@@ -65,16 +66,13 @@ _GOLDEN_TOL = 1e-9
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # fit_pb's profile over log alpha: the series of 120 alphas from e^-4 to the
-# cap, each row scored at every log beta of a grid, then refined in beta.  A
-# log-beta step of 0.32 keeps the basins of tiny histograms that a step of
-# 0.79 misses; the corpora's basins past log beta 12 are those of the limit
-# beta -> infinity, searched on its own
+# cap, each row scored at every log beta of a grid and at the limit
+# beta -> infinity, then refined in beta.  A log-beta step of 0.32 keeps the
+# basins of tiny histograms that a step of 0.79 misses; the corpora's basins
+# past log beta 12 are those of the limit
 _PROFILE_LOG_ALPHAS = np.linspace(-4.0, _LOG_ALPHA_CAP, 120)
 _PROFILE_LOG_BETAS = np.linspace(-8.0, 12.0, 64)
-# the two ends in log beta: beta -> 0, where the law tends to all its mass on
-# digit 1, and beta -> infinity, where it tends to the series S(alpha) alone
-_PROFILE_ENDS = np.array([-_LOG_BETA_CAP, _LOG_BETA_CAP])
-_PROFILE_BLOCK = 24  # alpha rows per series or grid call: temporaries of 110 kB at most
+_PROFILE_BLOCK = 40  # alpha rows per scoring call: temporaries of 190 kB at most
 # the golden sections' width: at 1e-3 the valley of a fit of n = 244,695 is
 # too narrow in log beta to rank its basin first
 _PROFILE_TOL = 1e-4
@@ -238,77 +236,59 @@ def _pb_objective(hist: DigitHistogram, m: int):
 
 
 @lru_cache(maxsize=8)
-def _profile_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _profile_table(m: int) -> tuple[np.ndarray, np.ndarray]:
     """The part of _pb_profile that depends on m alone, read-only: the
-    series (120, 9) of the profile's alphas, and their pmfs at the two ends
-    in log beta (120, 2, 9) and on the log-beta grid (120, 64, 9), each
-    built _PROFILE_BLOCK alpha rows at a time."""
-    alpha, beta = _pb_params(_PROFILE_LOG_ALPHAS, _PROFILE_LOG_BETAS)
-    blocks = range(0, len(alpha), _PROFILE_BLOCK)
-    series = np.concatenate([_series_differences(alpha[i:i + _PROFILE_BLOCK], m)
-                             for i in blocks])
-    ends = _pb_mix(alpha[:, None], _pb_params(0.0, _PROFILE_ENDS)[1], series[:, None])
-    grid = np.concatenate([_pb_mix(alpha[i:i + _PROFILE_BLOCK, None], beta,
-                                   series[i:i + _PROFILE_BLOCK, None]) for i in blocks])
-    for table in (series, ends, grid):
-        table.flags.writeable = False
-    return series, ends, grid
+    series (120, 9) of the profile's alphas, and their pmfs (120, 65, 9) on
+    the log-beta grid and then at the limit, log beta = _LOG_BETA_CAP."""
+    alpha, beta = _pb_params(_PROFILE_LOG_ALPHAS, np.r_[_PROFILE_LOG_BETAS, _LOG_BETA_CAP])
+    series = _series_differences(alpha, m)
+    pmfs = _pb_mix(alpha[:, None], beta, series[:, None])
+    series.flags.writeable = pmfs.flags.writeable = False
+    return series, pmfs
 
 
 def _pb_profile(hist: DigitHistogram, m: int) -> tuple:
     """Where fit_pb's search begins: (starts, nev).
 
-    The series of the 120 alphas and their pmfs at the two ends in log
-    beta and on the log-beta grid do not depend on hist: _profile_table
-    builds them once per m.  The two ends are scored first; a point there
-    that scores 0 is the one start, as nothing scores lower.  Otherwise
-    each alpha row is scored on the grid, _PROFILE_BLOCK rows a call, and
-    its best beta refined by golden section (its best interior grid
-    minimum, if it has one); the limit beta -> infinity, the series
-    S(alpha) alone, is searched in log alpha in the same calls.  The
-    starts (S, 2) are every local minimum of the profile over log alpha,
-    best first (ties to the smaller alpha), then the limit's point.  nev
-    counts every point scored.
+    A histogram with every count on digit 1 has the one start (log alpha
+    -4, log beta -700): the law tends to all its mass on digit 1 as
+    beta -> 0, and nothing scores lower.  Otherwise the pmfs of the 120
+    alphas on the log-beta grid and at the limit beta -> infinity, which
+    do not depend on hist (_profile_table builds them once per m), are
+    scored _PROFILE_BLOCK rows a call, and each row's best beta refined by
+    golden section from its series (its best interior grid minimum, if it
+    has one).  The starts (S, 2) are every local minimum of the profile
+    over log alpha, best first (ties to the smaller alpha), then the alpha
+    that scores best at the limit, at log beta _LOG_BETA_CAP.  nev counts
+    every point scored.
     """
-    series, end_pmfs, grid = _profile_table(m)
+    if not any(hist.counts[1:]):
+        return np.array([[_PROFILE_LOG_ALPHAS[0], -_LOG_BETA_CAP]]), 0
+    series, table = _profile_table(m)
     scored = _objective(hist, lambda pmfs: pmfs)
-    ends = scored(end_pmfs)
-    if ends.min() == 0:
-        i, k = np.unravel_index(ends.argmin(), ends.shape)
-        start = np.array([[_PROFILE_LOG_ALPHAS[i], _PROFILE_ENDS[k]]])
-        return start, ends.size
-    chi = np.concatenate([scored(grid[i:i + _PROFILE_BLOCK])
-                          for i in range(0, len(grid), _PROFILE_BLOCK)])
-    # one golden section on 121 intervals: each alpha row's log beta, and the
-    # limit's log alpha, between the grid neighbours of the best grid point;
-    # a row refines its best interior minimum, if it has one, rather than an
-    # edge, where the golden section cannot pass the grid and a narrow basin
-    # between two grid points may hide under the edge's value
+    scores = np.concatenate([scored(table[i:i + _PROFILE_BLOCK])
+                             for i in range(0, len(table), _PROFILE_BLOCK)])
+    chi, limit = scores[:, :-1], scores[:, -1]
+    # one golden section on 120 intervals: each alpha row's log beta between
+    # the grid neighbours of its best grid point; a row refines its best
+    # interior minimum, if it has one, rather than an edge, where the golden
+    # section cannot pass the grid and a narrow basin between two grid
+    # points may hide under the edge's value
     padded = np.pad(chi, ((0, 0), (1, 1)), constant_values=-np.inf)
     inner = np.where((chi <= padded[:, :-2]) & (chi <= padded[:, 2:]), chi, np.inf)
     j = np.where(inner.min(axis=1) < np.inf, inner.argmin(axis=1), chi.argmin(axis=1))
-    lo, hi = _neighbours(_PROFILE_LOG_BETAS, j)
-    limit_lo, limit_hi = _neighbours(_PROFILE_LOG_ALPHAS, ends[:, 1].argmin(keepdims=True))
-
-    def probs(x):  # the rows' pmfs from their series, then the limit's
-        return np.r_[_pb_mix(*_pb_params(_PROFILE_LOG_ALPHAS, x[:-1]), series),
-                     _pb_probs(*_pb_params(x[-1:], _LOG_BETA_CAP), m)]
-
-    x, fx, nev = _golden_section(_objective(hist, probs), np.r_[lo, limit_lo],
-                                 np.r_[hi, limit_hi], _PROFILE_TOL)
+    rows = _objective(hist, lambda lb: _pb_mix(*_pb_params(_PROFILE_LOG_ALPHAS, lb), series))
+    lo, hi = _PROFILE_LOG_BETAS[np.clip([j - 1, j + 1], 0, len(_PROFILE_LOG_BETAS) - 1)]
+    x, fx, nev = _golden_section(rows, lo, hi, _PROFILE_TOL)
     grid_best = chi.min(axis=1)
-    lb = np.where(fx[:-1] < grid_best, x[:-1], _PROFILE_LOG_BETAS[chi.argmin(axis=1)])
-    fb = np.minimum(fx[:-1], grid_best)
+    lb = np.where(fx < grid_best, x, _PROFILE_LOG_BETAS[chi.argmin(axis=1)])
+    fb = np.minimum(fx, grid_best)
     padded = np.r_[np.inf, fb, np.inf]
     local = np.flatnonzero((fb <= padded[:-2]) & (fb <= padded[2:]))
     best = local[np.argsort(fb[local], kind="stable")]
-    return (np.r_[np.c_[_PROFILE_LOG_ALPHAS[best], lb[best]], [[x[-1], _LOG_BETA_CAP]]],
-            ends.size + chi.size + nev)
-
-
-def _neighbours(grid: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The grid points before and after each index i, or i itself at an end."""
-    return grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, len(grid) - 1)]
+    return (np.r_[np.c_[_PROFILE_LOG_ALPHAS[best], lb[best]],
+                  [[_PROFILE_LOG_ALPHAS[limit.argmin()], _LOG_BETA_CAP]]],
+            scores.size + nev)
 
 
 def _newton_polish(f, x: np.ndarray) -> tuple:
@@ -350,9 +330,11 @@ def fit_pb(hist: DigitHistogram, m: int = PB.m) -> FitResult:
     Newton polish (_newton_polish) from each start; the lowest end is the
     fit, ties to the earlier start.  `converged` says that polish
     stopped on its step tolerance or found no lower point, not at its
-    iteration cap; `evaluations` counts every point scored.  A fitted beta
-    of e^700 = 1.01423e+304 (_LOG_BETA_CAP) is the limit beta -> infinity,
-    where the law is the series alone to float64.
+    iteration cap; `evaluations` counts every point scored.  beta is capped
+    at e^700 = 1.01423e+304 (_LOG_BETA_CAP), where the law is the series
+    alone to float64.  A fit at that limit is polished from log beta 700
+    over a surface flat in beta, so it may report a log beta just below:
+    on the fit_pb corpora, 699.98 to 700 (beta 9.98e+303 to the cap).
     """
     m = PB(1.0, 1.0, m).m  # the law's own check of m
     objective = _pb_objective(hist, m)

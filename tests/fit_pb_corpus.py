@@ -11,9 +11,9 @@ pmfs with n from 25 to 1e6, then 300 histograms of n <= 40 with emptied
 cells; each draw's m cycles through 100, 1000 and 5000.  The draws come
 from seed 20240811; `--seed N` draws a held-out corpus from seed N
 instead, to judge a change of the fitter on histograms it was not tuned
-on (CI runs seeds 7, 11, 13, 17 and 43 too).  It prints each failing fit and
-the count of each failure, then the fit_pb evaluations by stage (the
-profile's grid and golden sections, the Newton polishes), the polishes
+on (CI runs seeds 7, 11, 13, 17, 41 and 43 too).  It prints each failing
+fit and the count of each failure, then the fit_pb evaluations by stage
+(the profile's table and golden sections, the Newton polishes), the polishes
 per fit and the objective calls: a call costs a fixed overhead beyond its
 points, so a cut in points can be told apart from a cut in steps.  Last
 it prints the run's time and the part of it spent in fit_pb itself.
@@ -131,7 +131,7 @@ def main() -> int:
     print(f"{fits} histograms, {worse} fits worse than the oracle by more than "
           f"{TOLERANCE:g} (largest excess {largest:.3g}), {inexact} fits whose "
           "chi-square is not that of the law they report")
-    print(f"fit_pb evaluations: {evaluations} (profile grid and golden sections "
+    print(f"fit_pb evaluations: {evaluations} (profile table and golden sections "
           f"{evaluations - polish_points}, polishes {polish_points}), "
           f"{polishes / fits:.2f} polishes per fit, objective calls: {calls}")
     print(f"time: {time.perf_counter() - start:.1f} s, of which fit_pb {fitting_s:.1f} s")
